@@ -27,9 +27,10 @@ from .errors import (
     ZeroEndomorphismError,
     ZeroNormError,
 )
-from .endomorphisms import AnalyticRep, RationalRep, charpoly_frac
+from .endomorphisms import AnalyticRep, RationalRep, charpoly_frac, fix_count
 from .polynomials import (
     IntPolynomial,
+    _square_free_kernel,
     cyclotomic,
     is_square_rational,
     rational_roots,
@@ -41,23 +42,6 @@ from .unitcircle import (
     _max_real_root_exceeds,
     _resolvent_cubic,
 )
-
-
-def _square_free_kernel(n: int) -> int:
-    """The square-free part: product of the primes of odd exponent, so that
-    sqrt(n) = k * sqrt(kernel) with k an integer."""
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        exp = 0
-        while n % d == 0:
-            n //= d
-            exp += 1
-        if exp % 2:
-            out *= d
-        d += 1
-    return out * n
 
 
 # -- Type 0/1: integer and real multiplication --------------------------------
@@ -82,10 +66,10 @@ class RealQuadElement:
         return self.a == 0 and self.b == 0
 
 
-def _omega_trace_norm(d: int) -> tuple[int, Fraction]:
+def _omega_trace_norm(d: int) -> tuple[int, int]:
     if d % 4 == 1:
-        return 1, Fraction(1 - d, 4)
-    return 0, Fraction(-d)
+        return 1, (1 - d) // 4
+    return 0, -d
 
 
 def rm_eigenvalues(x: RealQuadElement) -> tuple[tuple[Fraction, Fraction, int], ...]:
@@ -104,16 +88,13 @@ def rm_char_poly(x: RealQuadElement) -> CharPolyQuartic:
     rational (its two roots are the two real embeddings)."""
     tr_w, n_w = _omega_trace_norm(x.d)
     tr = 2 * x.a + x.b * tr_w
-    nrm = Fraction(x.a * x.a) + x.a * x.b * tr_w + x.b * x.b * n_w
-    assert nrm.denominator == 1
-    quad = IntPolynomial((int(nrm), -tr, 1))
+    nrm = x.a * x.a + x.a * x.b * tr_w + x.b * x.b * n_w
+    quad = IntPolynomial((nrm, -tr, 1))
     return CharPolyQuartic(quad * quad)
 
 
 def rm_fix(x: RealQuadElement, n: int) -> int:
-    from .endomorphisms import fix_count_quartic
-
-    return fix_count_quartic(rm_char_poly(x).poly, n)
+    return fix_count(x, n)
 
 
 def rm_classify(x: RealQuadElement) -> "_behavior.BehaviorReport":
@@ -122,8 +103,10 @@ def rm_classify(x: RealQuadElement) -> "_behavior.BehaviorReport":
         raise ZeroEndomorphismError("zero element of the real quadratic order")
     report = _behavior.classify(rm_char_poly(x))
     expected_b2 = x.b == 0 and abs(x.a) == 1
-    assert (report.verdict == _behavior.B2) == expected_b2
-    assert report.verdict != _behavior.B3
+    if report.verdict == _behavior.B3 or (report.verdict == _behavior.B2) != expected_b2:
+        raise InvalidEndomorphismError(
+            f"verdict {report.verdict} for {x} contradicts the real multiplication structure"
+        )
     return report
 
 
@@ -220,10 +203,6 @@ class QuatRootData:
     kind: str  # "rational" | "real_quadratic" | "complex_pair"
     t_pair: str
 
-    @property
-    def t_pair_description(self) -> str:
-        return self.t_pair
-
 
 def quat_root_data(x: QuaternionElement) -> QuatRootData:
     disc = x.a ** 2 - quat_reduced_norm(x)
@@ -242,9 +221,7 @@ def quat_char_poly(x: QuaternionElement) -> CharPolyQuartic:
 
 def quat_fix(x: QuaternionElement, n: int) -> int:
     """fix(x^n) = ((1 - t1^n)(1 - t2^n))^2 = Res(chi, 1 - t^n)^2."""
-    from .endomorphisms import fix_count_quartic
-
-    return fix_count_quartic(quat_char_poly(x).poly, n)
+    return fix_count(x, n)
 
 
 def quat_one_root_periodicity_criterion(x: QuaternionElement) -> bool:
@@ -283,7 +260,10 @@ def quat_classify(x: QuaternionElement) -> "_behavior.BehaviorReport":
             "the norm of x -+ 1 vanishes, so the symbol is not a division algebra"
         )
     report = _behavior.classify(quat_char_poly(x))
-    assert report.verdict != _behavior.B3, "mixed behaviour is impossible here"
+    if report.verdict == _behavior.B3:
+        raise InvalidEndomorphismError(
+            "mixed behaviour from a quaternion element contradicts the algebra structure"
+        )
     return report
 
 
@@ -448,9 +428,7 @@ def cm_char_poly(x: CMElement) -> CharPolyQuartic:
 
 
 def cm_fix(x: CMElement, n: int) -> int:
-    from .endomorphisms import fix_count_quartic
-
-    return fix_count_quartic(cm_char_poly(x).poly, n)
+    return fix_count(x, n)
 
 
 def cm_classify(x: CMElement) -> "_behavior.BehaviorReport":
@@ -497,7 +475,8 @@ def _min_modulus_sq_below(w: IntPolynomial, e: Fraction) -> bool:
     ws = square_free_part(w)
     if ws.degree == 2:
         return Fraction(ws.coeffs[0], ws.coeffs[2]) < e
-    assert ws.degree == 4
+    if ws.degree != 4:
+        raise ValueError(f"{w} is not a quartic without repeated roots")
     c0 = Fraction(ws.coeffs[0])
     res = _resolvent_cubic(ws)
     # V(y) = y^2 - u* y + c0 has roots m1^2 <= m2^2; sign(V(e)) for e > 0

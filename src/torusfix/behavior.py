@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ZeroEndomorphismError
+from .errors import InvalidEndomorphismError, ZeroEndomorphismError
 from .endomorphisms import EndomorphismInput, char_poly_rational, fix_count_quartic
-from .intervals import RationalInterval, sqrt_interval
-from .polynomials import IntPolynomial
+from .intervals import RationalInterval
+from .polynomials import IntPolynomial, _divisors
 from .unitcircle import (
+    DEFAULT_ENCLOSURE_WIDTH,
     CharPolyQuartic,
     EigenvalueClassification,
-    count_roots_by_modulus,
-    mahler_measure_sq_interval,
-    unit_circle_factor,
+    _analyze,
 )
 
 DEFAULT_GROWTH_WIDTH = Fraction(1, 2 ** 20)
@@ -79,7 +78,8 @@ def classify(e: EndomorphismInput) -> BehaviorReport:
     p = quartic.poly
     if p == IntPolynomial((0, 0, 0, 0, 1)):
         raise ZeroEndomorphismError("all four eigenvalues vanish")
-    census = count_roots_by_modulus(quartic)
+    analysis = _analyze(quartic)
+    census = analysis.census(DEFAULT_ENCLOSURE_WIDTH)
 
     if p(1) == 0:
         return BehaviorReport(
@@ -90,22 +90,21 @@ def classify(e: EndomorphismInput) -> BehaviorReport:
         # of modulus > 1, and all roots inside is impossible for |P(0)| >= 1
         return BehaviorReport(
             verdict=B1, eigen=census,
-            growth_base=mahler_measure_interval(quartic, DEFAULT_GROWTH_WIDTH),
+            growth_base=analysis.growth_base(DEFAULT_GROWTH_WIDTH),
         )
     if census.n_less == 0 and census.n_more == 0:
         period, cycle = _minimal_period(p, census)
         return BehaviorReport(verdict=B2, eigen=census, period=period, cycle=cycle)
 
     # mixed: unit-circle roots plus growth
-    distinct = set(census.unity_orders)
-    assert len(distinct) == 1, (
-        "a valid mixed-case quartic has a single analytic root-of-unity "
-        f"eigenvalue, got orders {census.unity_orders}"
-    )
-    r = math.lcm(*census.unity_orders)
+    if len(set(census.unity_orders)) != 1:
+        raise InvalidEndomorphismError(
+            "a valid mixed-case quartic has a single analytic root-of-unity "
+            f"eigenvalue, got orders {census.unity_orders}"
+        )
     return BehaviorReport(
-        verdict=B3, eigen=census, r=r,
-        growth_base=mahler_measure_interval(quartic, DEFAULT_GROWTH_WIDTH),
+        verdict=B3, eigen=census, r=census.unity_orders[0],
+        growth_base=analysis.growth_base(DEFAULT_GROWTH_WIDTH),
     )
 
 
@@ -113,14 +112,10 @@ def _minimal_period(p: IntPolynomial, census: EigenvalueClassification) -> tuple
     orders = [k for k in census.unity_orders]
     big = math.lcm(*orders) if orders else 1
     full = [fix_count_quartic(p, n) for n in range(1, big + 1)]
-    for d in sorted(_divisors(big)):
+    for d in _divisors(big):
         if all(full[n] == full[n % d] for n in range(big)):
             return d, tuple(full[:d])
     return big, tuple(full)
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def mahler_measure_interval(
@@ -130,19 +125,7 @@ def mahler_measure_interval(
     at most `width`; this is the exponential growth base of fix(f^n)."""
     if width <= 0:
         raise ValueError("width must be positive")
-    p = P.poly
-    nz = p.trailing_zero_count()
-    p = IntPolynomial(p.coeffs[nz:])
-    circle = unit_circle_factor(P)
-    if circle.degree:
-        p = p.divexact(circle)
-    target = width
-    while True:
-        m_sq = mahler_measure_sq_interval(p, target)
-        out = sqrt_interval(m_sq, target)
-        if out.width <= width:
-            return out
-        target /= 4
+    return _analyze(P).growth_base(width)
 
 
 def verify_b3_pattern(e: EndomorphismInput, report: BehaviorReport, n_max: int) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidStructureError, NonIntegralError
-from .polynomials import IntPolynomial, ONE, power_mod, resultant
+from .polynomials import IntPolynomial, ONE, _square_free_kernel, power_mod, resultant
 from .unitcircle import CharPolyQuartic, validate_conjugate_pair_structure
 
 # n is capped to bound coefficient growth (entries grow linearly in n times
@@ -60,7 +60,7 @@ class AnalyticRep:
 
     def __init__(self, field_param: int, matrix):
         m = int(field_param)
-        if m != 1 and not _is_square_free(m):
+        if m != 1 and (m == 0 or _square_free_kernel(m) != abs(m)):
             raise ValueError(f"field parameter {m} must be square-free or 1")
         rows = []
         for row in matrix:
@@ -79,18 +79,6 @@ class AnalyticRep:
         object.__setattr__(self, "matrix", tuple(rows))
 
 
-def _is_square_free(m: int) -> bool:
-    if m == 0:
-        return False
-    m = abs(m)
-    d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 # EndomorphismInput also admits the algebra elements of simple abelian
 # surfaces; their modules register through char_poly_rational's dispatch.
 EndomorphismInput = Union[RationalRep, AnalyticRep, CharPolyQuartic, "object"]
@@ -104,29 +92,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for i in range(len(a))
     )
-
-
-def mat_identity(n: int, one=1):
-    return tuple(tuple(one if i == j else one * 0 for j in range(n)) for i in range(n))
-
-
-def mat_pow(m, n: int):
-    size = len(m)
-    result = mat_identity(size)
-    base = m
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
-
-
-def mat_det_int(m) -> int:
-    """Exact determinant of an integer matrix (Bareiss)."""
-    from .polynomials import _bareiss_det
-
-    return _bareiss_det([list(row) for row in m])
 
 
 def charpoly_frac(m) -> list[Fraction]:
@@ -151,7 +116,8 @@ def charpoly_frac(m) -> list[Fraction]:
 
 def charpoly_int_matrix(m) -> IntPolynomial:
     coeffs = charpoly_frac(m)
-    assert all(c.denominator == 1 for c in coeffs)
+    if any(c.denominator != 1 for c in coeffs):
+        raise NonIntegralError(f"char poly coefficients {coeffs} are not integers")
     return IntPolynomial([int(c) for c in coeffs])
 
 
@@ -228,20 +194,16 @@ def _analytic_char_poly(e: AnalyticRep) -> IntPolynomial:
 
 def fix_count(e: EndomorphismInput, n: int) -> int:
     """Exact number of fixed points of the n-th iterate; 0 encodes an
-    infinite fixed-point set."""
-    if n < 1:
-        raise ValueError("iterate index must be >= 1")
-    if isinstance(e, RationalRep):
-        char_poly_rational(e)  # validate eagerly
-        mn = mat_pow(e.matrix, n)
-        eye = mat_identity(4)
-        diff = tuple(
-            tuple(eye[i][j] - mn[i][j] for j in range(4)) for i in range(4)
-        )
-        value = mat_det_int(diff)
-    else:
-        value = fix_count_quartic(char_poly_rational(e).poly, n)
-    assert value >= 0, "Lefschetz count must be a square modulus"
+    infinite fixed-point set.  Every fixed-point count of a single iterate
+    goes through here, so this is where n is checked."""
+    if not 1 <= n <= MAX_ITERATE:
+        raise ValueError(f"iterate index must lie in 1..{MAX_ITERATE}, got {n}")
+    p = char_poly_rational(e).poly
+    value = fix_count_quartic(p, n)
+    if value < 0:
+        # conjugate pairs and even-multiplicity real roots make
+        # prod (1 - mu_i^n) a square modulus
+        raise InvalidStructureError(f"negative Lefschetz count {value} for {p}")
     return value
 
 
@@ -259,7 +221,5 @@ def fix_sequence(e: EndomorphismInput, n_max: int, force: bool = False) -> list[
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_ITERATE and not force:
         raise ValueError(f"n_max exceeds the iterate cap {MAX_ITERATE}")
-    if isinstance(e, RationalRep):
-        return [fix_count(e, n) for n in range(1, n_max + 1)]
     p = char_poly_rational(e).poly
     return [fix_count_quartic(p, n) for n in range(1, n_max + 1)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,14 +85,10 @@ def sqrt_interval(x: RationalInterval, width: Fraction) -> RationalInterval:
             return RationalInterval.point(exact)
     lo = _sqrt_lower(x.lo, width / 2)
     hi = _sqrt_upper(x.hi, width / 2)
-    if hi < lo:  # tiny inputs can invert the directed bounds
-        lo, hi = hi, lo
     return RationalInterval(lo, hi)
 
 
 def _exact_sqrt(x: Fraction):
-    import math
-
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
@@ -100,18 +97,14 @@ def _exact_sqrt(x: Fraction):
 
 
 def _sqrt_scale(tol: Fraction) -> int:
-    """Power of two 1/s <= tol, so isqrt at denominator s^2 meets tol."""
-    s = 1
-    while Fraction(1, s) > tol:
-        s <<= 1
-    return s
+    """Least power of two s with 1/s <= tol, so isqrt at denominator s^2
+    meets tol."""
+    return 1 << (math.ceil(1 / tol) - 1).bit_length()
 
 
 def _sqrt_lower(x: Fraction, tol: Fraction) -> Fraction:
     if x == 0:
         return Fraction(0)
-    import math
-
     s = _sqrt_scale(tol)
     # floor(sqrt(x) * s) / s <= sqrt(x), within 1/s
     return Fraction(math.isqrt(x.numerator * s * s // x.denominator), s)
@@ -120,8 +113,6 @@ def _sqrt_lower(x: Fraction, tol: Fraction) -> Fraction:
 def _sqrt_upper(x: Fraction, tol: Fraction) -> Fraction:
     if x == 0:
         return Fraction(0)
-    import math
-
     s = _sqrt_scale(tol)
     r = math.isqrt(x.numerator * s * s // x.denominator)
     return Fraction(r + 1, s)

@@ -17,8 +17,6 @@ from typing import Iterable, Optional
 
 from .intervals import RationalInterval
 
-BigRational = Fraction
-
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -163,10 +161,6 @@ ONE = IntPolynomial((1,))
 T = IntPolynomial((0, 1))
 
 
-def monomial(coeffs) -> IntPolynomial:
-    return IntPolynomial(coeffs)
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -184,10 +178,6 @@ def parse_poly(text: str) -> IntPolynomial:
 
 
 # -- core operations --------------------------------------------------------
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
 
 
 def poly_reverse(p: IntPolynomial) -> IntPolynomial:
@@ -314,13 +304,6 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs)
 
 
-def _exact_quotient_primitive(p: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    quo, rem = p.divmod_rational(g)
-    assert not rem, "exact quotient expected"
-    den = reduce(math.lcm, (c.denominator for c in quo), 1)
-    return IntPolynomial([int(c * den) for c in quo]).primitive()
-
-
 @lru_cache(maxsize=4096)
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'), primitive with positive leading coefficient."""
@@ -331,7 +314,7 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return p.primitive()
-    return _exact_quotient_primitive(p, g)
+    return p.divexact(g).primitive()
 
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -350,11 +333,11 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     while cur.degree > 0:
         s = square_free_part(cur)
         levels.append(s)
-        cur = _exact_quotient_primitive(cur, s)
+        cur = cur.divexact(s).primitive()
     out: list[tuple[IntPolynomial, int]] = []
     for i, s in enumerate(levels):
         nxt = levels[i + 1] if i + 1 < len(levels) else ONE
-        f = _exact_quotient_primitive(s, nxt)
+        f = s.divexact(nxt).primitive()
         if f.degree > 0:
             out.append((f, i + 1))
     return out
@@ -495,6 +478,23 @@ def _divisors(n: int) -> list[int]:
             out.append(n // d)
         d += 1
     return sorted(set(out))
+
+
+def _square_free_kernel(n: int) -> int:
+    """The square-free part: product of the primes of odd exponent, so that
+    sqrt(n) = k * sqrt(kernel) with k an integer."""
+    n = abs(n)
+    out = 1
+    d = 2
+    while d * d <= n:
+        exp = 0
+        while n % d == 0:
+            n //= d
+            exp += 1
+        if exp % 2:
+            out *= d
+        d += 1
+    return out * n
 
 
 def is_square_rational(q: Fraction) -> Optional[Fraction]:

@@ -9,9 +9,8 @@ involved anywhere, since no tolerance can distinguish |mu| = 1 from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Optional
 
 from .errors import InvalidEndomorphismError, InvalidStructureError
@@ -24,9 +23,9 @@ from .polynomials import (
     count_real_roots,
     cyclotomic,
     euler_phi,
+    is_square_rational,
     poly_gcd,
     poly_reverse,
-    rational_roots,
     real_root_isolation,
     refine_root,
     square_free_part,
@@ -182,18 +181,9 @@ def _count_u_roots_in_closed_2(h: IntPolynomial) -> int:
 def _multiplicity(p: IntPolynomial, factor: IntPolynomial) -> int:
     m = 0
     while factor.divides(p):
-        p = _exact_quotient(p, factor)
+        p = p.divexact(factor)
         m += 1
     return m
-
-
-def _exact_quotient(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    quo, rem = p.divmod_rational(q)
-    assert not rem
-    lcm = reduce(math.lcm, (c.denominator for c in quo), 1)
-    out = IntPolynomial([int(c * lcm) for c in quo])
-    assert lcm == 1
-    return out
 
 
 def _power(p: IntPolynomial, k: int) -> IntPolynomial:
@@ -243,27 +233,30 @@ def cyclotomic_orders_with_multiplicity(q: IntPolynomial) -> Optional[list[int]]
     return sorted(orders)
 
 
-def assert_self_reciprocal_minpoly(h: IntPolynomial) -> bool:
-    """True iff deg h is even and t^n h(1/t) = h(t)."""
-    if h.is_zero() or not h.is_monic():
-        raise ValueError("monic integer polynomial required")
-    return h.degree % 2 == 0 and poly_reverse(h) == h
-
-
 # -- off-circle root groups ---------------------------------------------------
 
+# An enclosure maps a requested width to a rational interval around |mu|^2.
+Enclosure = Callable[[Fraction], RationalInterval]
 
-@dataclass
-class _RootGroup:
-    """A set of quartic roots sharing one modulus, counted with multiplicity.
 
-    ``modulus_sq`` produces an exact rational enclosure of |mu|^2 at any
-    requested width.
+@dataclass(frozen=True)
+class _OffCircleFactor:
+    """One square-free factor of the off-circle cofactor.
+
+    ``groups`` lists its roots as (count, outside) pairs, one per set of
+    roots sharing a modulus, counted with multiplicity; outside means
+    |mu| > 1.  ``enclosures`` makes one |mu|^2 enclosure per group.  The
+    enclosures keep bisection state, and the two pairs of a quartic factor
+    share the refinement of u*, so every consumer makes its own set: a
+    result then never depends on what another consumer refined before.
     """
 
-    count: int
-    outside: bool  # |mu| > 1 (roots on the circle never form groups)
-    modulus_sq: Callable[[Fraction], RationalInterval]
+    groups: tuple[tuple[int, bool], ...]
+    enclosures: Callable[[], list[Enclosure]]
+
+
+def _point(v: Fraction) -> Enclosure:
+    return lambda width: RationalInterval.point(v)
 
 
 def _resolvent_cubic(w: IntPolynomial) -> IntPolynomial:
@@ -293,16 +286,9 @@ def _max_real_root_exceeds(r: IntPolynomial, q: Fraction) -> int:
     return 1 if above > 0 else -1
 
 
-def _max_real_root_interval(r: IntPolynomial, width: Fraction) -> RationalInterval:
-    ivs = real_root_isolation(r)
-    if not ivs:
-        raise ValueError("cubic without real roots cannot occur")
-    return refine_root(r, ivs[-1], width)
-
-
-def _two_pair_groups(f: IntPolynomial, mult: int) -> list[_RootGroup]:
-    """Groups for a square-free monic integer quartic with no real roots
-    and no unit-circle roots: two conjugate pairs with moduli m1 <= m2.
+def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
+    """A square-free monic integer quartic with no real roots and no
+    unit-circle roots: two conjugate pairs with moduli m1 <= m2.
 
     m1^2 + m2^2 is the largest real root u* of the resolvent cubic (the
     conjugate pairing dominates every other pairing's product sum), and
@@ -324,6 +310,7 @@ def _two_pair_groups(f: IntPolynomial, mult: int) -> list[_RootGroup]:
             sides = (True, True)
         else:
             sides = (False, False)  # impossible for genuine torus inputs
+    groups = ((2 * mult, sides[0]), (2 * mult, sides[1]))
 
     # detect m1 = m2 exactly: u* = 2 sqrt(c0), i.e. u*^2 = 4 c0
     equal_moduli = False
@@ -342,116 +329,92 @@ def _two_pair_groups(f: IntPolynomial, mult: int) -> list[_RootGroup]:
 
     if equal_moduli:
         if is_positive_rational_square(c0):
-            m_sq = _sqrt_of_rational(c0)
-
-            def msq_point(width: Fraction, _v=m_sq) -> RationalInterval:
-                return RationalInterval.point(_v)
-
-            enclosure_eq = msq_point
+            enclosure_eq = _point(_sqrt_of_rational(c0))
         else:
 
             def enclosure_eq(width: Fraction) -> RationalInterval:
                 return sqrt_interval(RationalInterval.point(c0), width)
 
-        return [
-            _RootGroup(2 * mult, sides[0], enclosure_eq),
-            _RootGroup(2 * mult, sides[1], enclosure_eq),
-        ]
+        return _OffCircleFactor(groups, lambda: [enclosure_eq, enclosure_eq])
 
-    u_state: dict = {"iv": None}
+    u_isolated = real_root_isolation(res)[-1]
 
-    def _refine_u(w: Fraction) -> RationalInterval:
-        if u_state["iv"] is None:
-            u_state["iv"] = real_root_isolation(res)[-1]
-        u_state["iv"] = refine_root(res, u_state["iv"], w)
-        return u_state["iv"]
+    def enclosures() -> list[Enclosure]:
+        u_iv = u_isolated
 
-    def msq(which_larger: bool) -> Callable[[Fraction], RationalInterval]:
-        def enclosure(width: Fraction) -> RationalInterval:
-            w = width / 4
-            while True:
-                u_iv = _refine_u(w)
-                disc = u_iv * u_iv + RationalInterval.point(-4 * c0)
-                if disc.lo < 0 <= disc.hi:
+        def msq(which_larger: bool) -> Enclosure:
+            def enclosure(width: Fraction) -> RationalInterval:
+                nonlocal u_iv
+                w = width / 4
+                while True:
+                    u_iv = refine_root(res, u_iv, w)
+                    disc = u_iv * u_iv + RationalInterval.point(-4 * c0)
+                    if disc.lo < 0 <= disc.hi:
+                        w /= 4
+                        continue
+                    root = sqrt_interval(
+                        RationalInterval(max(disc.lo, Fraction(0)), disc.hi), w
+                    )
+                    m2_iv = (u_iv + root).scale(Fraction(1, 2))
+                    out = m2_iv if which_larger else (
+                        RationalInterval.point(c0) * m2_iv.reciprocal()
+                    )
+                    if out.width <= width:
+                        return out
                     w /= 4
-                    continue
-                root = sqrt_interval(
-                    RationalInterval(max(disc.lo, Fraction(0)), disc.hi), w
-                )
-                m2_iv = (u_iv + root).scale(Fraction(1, 2))
-                out = m2_iv if which_larger else (
-                    RationalInterval.point(c0) * m2_iv.reciprocal()
-                )
-                if out.width <= width:
-                    return out
-                w /= 4
 
-        return enclosure
+            return enclosure
 
-    return [
-        _RootGroup(2 * mult, sides[0], msq(False)),
-        _RootGroup(2 * mult, sides[1], msq(True)),
-    ]
+        return [msq(False), msq(True)]
+
+    return _OffCircleFactor(groups, enclosures)
 
 
 def is_positive_rational_square(q: Fraction) -> bool:
-    from .polynomials import is_square_rational
-
     return q >= 0 and is_square_rational(q) is not None
 
 
 def _sqrt_of_rational(q: Fraction) -> Fraction:
-    from .polynomials import is_square_rational
-
     r = is_square_rational(q)
     if r is None:
         raise ValueError(f"{q} is not a rational square")
     return r
 
 
-def _real_root_groups(f: IntPolynomial, mult: int) -> list[_RootGroup]:
-    """Groups for the real roots of a square-free factor with no roots at
-    0 or on the circle (so no root at +-1)."""
-    groups = []
+def _real_root_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
+    """The real roots of a square-free factor with no roots at 0 or on the
+    circle (so no root at +-1), each isolated away from -1, 0 and 1."""
+    isolated = []
     for iv in real_root_isolation(f):
-        if iv.lo == iv.hi:
-            r = iv.lo
-            outside = abs(r) > 1
-            groups.append(_RootGroup(
-                mult, outside,
-                lambda width, _v=r * r: RationalInterval.point(_v),
-            ))
-            continue
-        # refine until the bracket excludes -1, 0 and 1
-        cur = iv
-        while any(cur.lo < c < cur.hi for c in (Fraction(-1), Fraction(0), Fraction(1))):
-            cur = refine_root(f, cur, cur.width / 4)
-            if cur.lo == cur.hi:
-                break
-        outside = abs(cur.midpoint()) > 1 if cur.lo == cur.hi else (
-            cur.lo >= 1 or cur.hi <= -1
-        )
+        while any(iv.lo < c < iv.hi for c in (-1, 0, 1)):
+            iv = refine_root(f, iv, iv.width / 4)
+        isolated.append(iv)
 
-        state = {"iv": cur}
+    def enclosures() -> list[Enclosure]:
+        def msq(iv: RationalInterval) -> Enclosure:
+            def enclosure(width: Fraction) -> RationalInterval:
+                nonlocal iv
+                w = width / 4
+                while True:
+                    iv = refine_root(f, iv, w)
+                    sq = iv * iv
+                    if sq.width <= width:
+                        return sq
+                    w /= 4
 
-        def msq(width: Fraction, _f=f, _state=state) -> RationalInterval:
-            w = width / 4
-            while True:
-                _state["iv"] = refine_root(_f, _state["iv"], w)
-                sq = _state["iv"] * _state["iv"]
-                if sq.width <= width:
-                    return sq
-                w /= 4
+            return enclosure
 
-        groups.append(_RootGroup(mult, outside, msq))
-    return groups
+        return [msq(iv) for iv in isolated]
+
+    groups = tuple((mult, iv.lo >= 1 or iv.hi <= -1) for iv in isolated)
+    return _OffCircleFactor(groups, enclosures)
 
 
-def off_circle_groups(w: IntPolynomial) -> list[_RootGroup]:
-    """Root groups of a monic integer polynomial with no roots at 0 or on
-    the unit circle.  Requires the even-multiplicity real-root structure of
-    a validated quartic."""
-    groups: list[_RootGroup] = []
+def _off_circle_factors(w: IntPolynomial) -> list[_OffCircleFactor]:
+    """The square-free factors of a monic integer polynomial with no roots
+    at 0 or on the unit circle.  Requires the even-multiplicity real-root
+    structure of a validated quartic."""
+    factors: list[_OffCircleFactor] = []
     for f, mult in squarefree_decomposition(w):
         n_real = count_real_roots(f)
         if n_real:
@@ -459,7 +422,7 @@ def off_circle_groups(w: IntPolynomial) -> list[_RootGroup]:
                 raise InvalidStructureError(
                     "real root with odd multiplicity off the circle"
                 )
-            groups.extend(_real_root_groups(f, mult))
+            factors.append(_real_root_factor(f, mult))
         complex_deg = f.degree - n_real
         if complex_deg == 0:
             continue
@@ -469,57 +432,100 @@ def off_circle_groups(w: IntPolynomial) -> list[_RootGroup]:
             raise InvalidStructureError("mixed real/complex square-free factor")
         if complex_deg == 2:
             c0 = Fraction(f.coeffs[0], f.coeffs[2])
-            groups.append(_RootGroup(
-                2 * mult, c0 > 1,
-                lambda width, _v=c0: RationalInterval.point(_v),
+            factors.append(_OffCircleFactor(
+                ((2 * mult, c0 > 1),), lambda _e=_point(c0): [_e]
             ))
         elif complex_deg == 4:
-            groups.extend(_two_pair_groups(f, mult))
+            factors.append(_two_pair_factor(f, mult))
         else:
             raise InvalidStructureError("odd number of non-real roots")
-    return groups
+    return factors
 
 
-# -- Schur-Cohn --------------------------------------------------------------
+# -- one analysis per quartic -------------------------------------------------
 
 
-class SchurCohnDegenerate(Exception):
-    """The Schur-Cohn chain hit a vanishing constant; use the structural path."""
+@dataclass(frozen=True)
+class _Analysis:
+    """The structure of one quartic's roots relative to the unit circle:
+    the zero count, the unit-circle factor and its per-root unity orders,
+    and the off-circle cofactor split into square-free factors."""
+
+    n_zero: int
+    circle: IntPolynomial
+    orders: tuple[int, ...]
+    cofactor: IntPolynomial
+    factors: tuple[_OffCircleFactor, ...]
+
+    def _outside_enclosures(self) -> list[tuple[int, Enclosure]]:
+        return [
+            (count, enclosure)
+            for f in self.factors
+            for (count, outside), enclosure in zip(f.groups, f.enclosures())
+            if outside
+        ]
+
+    def census(self, enclosure_width: Fraction) -> EigenvalueClassification:
+        n_less = sum(c for f in self.factors for c, outside in f.groups if not outside)
+        outside_moduli = tuple(
+            iv
+            for count, enclosure in self._outside_enclosures()
+            for iv in [enclosure(enclosure_width)] * count
+        )
+        return EigenvalueClassification(
+            n_zero=self.n_zero,
+            n_less=n_less,
+            n_on=self.circle.degree,
+            n_more=len(outside_moduli),
+            unity_orders=self.orders,
+            outside_moduli=outside_moduli,
+        )
+
+    def growth_base(self, width: Fraction) -> RationalInterval:
+        """Enclosure of the Mahler measure prod max(1, |mu_i|), of width at
+        most `width`."""
+        target = width
+        while True:
+            out = sqrt_interval(self._mahler_sq(target), target)
+            if out.width <= width:
+                return out
+            target /= 4
+
+    def _mahler_sq(self, width: Fraction) -> RationalInterval:
+        """Enclosure of M^2 = prod over outside roots of |mu|^2."""
+        outside = self._outside_enclosures()
+        if not outside:
+            return RationalInterval.point(1)
+        target = width
+        while True:
+            out = RationalInterval.point(1)
+            per_group = target / (4 * len(outside))
+            for count, enclosure in outside:
+                out = out * enclosure(per_group).intpow(count)
+            if out.width <= width:
+                return out
+            target /= 4
 
 
-def schur_cohn_inside(p: IntPolynomial) -> int:
-    """Number of roots of p strictly inside the unit disk, counted with
-    multiplicity, for p with p(0) != 0 and no roots on the circle.
-    Raises SchurCohnDegenerate when the chain cannot decide."""
-    coeffs = [Fraction(c) for c in p.coeffs]
-    return _schur_cohn(coeffs)
+def _analyze(P: CharPolyQuartic) -> _Analysis:
+    """Analyse P once, without validating its conjugate-pair structure.
 
-
-def _schur_cohn(c: list[Fraction]) -> int:
-    n = len(c) - 1
-    if n <= 0:
-        return 0
-    a0, an = c[0], c[-1]
-    t = [a0 * x - an * y for x, y in zip(c, reversed(c))]
-    while t and t[-1] == 0:
-        t.pop()
-    gamma = a0 * a0 - an * an
-    if gamma == 0:
-        raise SchurCohnDegenerate()
-    if not t:
-        raise SchurCohnDegenerate()
-    if len(t) - 1 >= n:
-        raise SchurCohnDegenerate()
-    inner = _schur_cohn(t)
-    if gamma > 0:
-        # |a0| > |an|: T f dominates via a0 f on |z| = 1, equal inside counts
-        return inner
-    # |an| > |a0|: T f tracks -an f*, whose inside roots are the reciprocals
-    # of f's outside roots
-    return n - inner
-
-
-# -- the census ---------------------------------------------------------------
+    Raises InvalidEndomorphismError if a unit-circle root is not a root of
+    unity (impossible for genuine torus endomorphisms; certifies that P is
+    not realizable), and InvalidStructureError where the off-circle roots
+    lack the structure validation would have required.
+    """
+    p = P.poly
+    n_zero = p.trailing_zero_count()
+    circle = unit_circle_factor(P)
+    orders = cyclotomic_orders_with_multiplicity(circle)
+    if orders is None:
+        raise InvalidEndomorphismError(
+            f"unit-circle factor {circle} is not a product of cyclotomics"
+        )
+    w = IntPolynomial(p.coeffs[n_zero:]).divexact(circle)
+    factors = tuple(_off_circle_factors(w)) if w.degree else ()
+    return _Analysis(n_zero, circle, tuple(orders), w, factors)
 
 
 def count_roots_by_modulus(
@@ -528,89 +534,9 @@ def count_roots_by_modulus(
 ) -> EigenvalueClassification:
     """Exact modulus census of the quartic's four roots.
 
-    Raises InvalidEndomorphismError if a unit-circle root is not a root of
-    unity (impossible for genuine torus endomorphisms; certifies that P is
-    not realizable).
+    Raises InvalidStructureError if P fails conjugate-pair validation and
+    InvalidEndomorphismError if a unit-circle root is not a root of unity.
     """
     if not validate_conjugate_pair_structure(P):
         raise InvalidStructureError(f"{P.poly} fails conjugate-pair validation")
-    p = P.poly
-    n_zero = p.trailing_zero_count()
-    p1 = IntPolynomial(p.coeffs[n_zero:])
-
-    circle = unit_circle_factor(CharPolyQuartic(_pad_to_quartic(p1)))
-    n_on = circle.degree
-    orders = cyclotomic_orders_with_multiplicity(circle) if n_on else []
-    if orders is None:
-        raise InvalidEndomorphismError(
-            f"unit-circle factor {circle} is not a product of cyclotomics"
-        )
-
-    w = p1.divexact(circle) if n_on else p1
-    if w.degree == 0:
-        n_less = n_more = 0
-        outside: tuple[RationalInterval, ...] = ()
-    else:
-        groups = off_circle_groups(w)
-        n_less_struct = sum(g.count for g in groups if not g.outside)
-        n_more_struct = sum(g.count for g in groups if g.outside)
-        # Schur-Cohn is the primary counter; the structural groups are the
-        # exact fallback (and are needed for the enclosures regardless).
-        try:
-            n_less = _count_inside_with_multiplicity(w)
-        except SchurCohnDegenerate:
-            n_less = n_less_struct
-        n_more = w.degree - n_less
-        assert (n_less, n_more) == (n_less_struct, n_more_struct), (
-            "Schur-Cohn and structural inside-disk counts disagree"
-        )
-        outside = tuple(
-            iv
-            for g in groups
-            if g.outside
-            for iv in [g.modulus_sq(enclosure_width)] * g.count
-        )
-    return EigenvalueClassification(
-        n_zero=n_zero,
-        n_less=n_less,
-        n_on=n_on,
-        n_more=n_more,
-        unity_orders=tuple(orders),
-        outside_moduli=outside,
-    )
-
-
-def _count_inside_with_multiplicity(w: IntPolynomial) -> int:
-    total = 0
-    for f, mult in squarefree_decomposition(w):
-        total += mult * schur_cohn_inside(f)
-    return total
-
-
-def _pad_to_quartic(p: IntPolynomial) -> IntPolynomial:
-    """Lift a monic factor of degree <= 4 back to a quartic by multiplying
-    with t^k -- only used to reuse the circle extraction on stripped input."""
-    if p.degree == 4:
-        return p
-    return p.shift_degree(4 - p.degree)
-
-
-def mahler_measure_sq_interval(
-    w: IntPolynomial, width: Fraction
-) -> RationalInterval:
-    """Enclosure of M(w)^2 = prod over outside roots of |mu|^2, for w with
-    no roots at 0 or on the circle."""
-    if w.degree == 0:
-        return RationalInterval.point(1)
-    groups = [g for g in off_circle_groups(w) if g.outside]
-    if not groups:
-        return RationalInterval.point(1)
-    target = width
-    while True:
-        out = RationalInterval.point(1)
-        per_group = target / (4 * len(groups))
-        for g in groups:
-            out = out * g.modulus_sq(per_group).intpow(g.count)
-        if out.width <= width:
-            return out
-        target /= 4
+    return _analyze(P).census(enclosure_width)

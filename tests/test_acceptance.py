@@ -38,10 +38,10 @@ from torusfix import (
     rm_classify,
 )
 from torusfix.algebras import cm_char_poly, quat_char_poly, quat_reduced_charpoly, rm_char_poly
-from torusfix.endomorphisms import fix_count_quartic
 from torusfix.polynomials import cyclotomic
 from torusfix.unitcircle import ALLOWED_UNITY_ORDERS
 
+from oracles import SchurCohnDegenerate, det_fix, off_circle_part, schur_cohn_inside
 from util import random_int_matrix, random_valid_quartic
 
 
@@ -136,15 +136,16 @@ def test_acceptance_4_determinant_resultant_oracle():
     rng = random.Random(41)
     checked = 0
     while checked < 200:
-        rep = RationalRep(random_int_matrix(rng))
+        mat = random_int_matrix(rng)
+        rep = RationalRep(mat)
         try:
-            p = char_poly_rational(rep)
+            char_poly_rational(rep)
         except InvalidStructureError:
             continue
         for n in range(1, 9):
-            assert fix_count(rep, n) == fix_count_quartic(p.poly, n)
+            assert fix_count(rep, n) == det_fix(mat, n)
         checked += 1
-    report("4 det(I - M^n) equals Res(P, 1 - t^n) on 200 valid matrices", 30.0, t0)
+    report("4 fix_count equals the det(I - M^n) oracle on 200 valid matrices", 30.0, t0)
 
 
 def test_acceptance_5_census_invariants():
@@ -160,6 +161,7 @@ def test_acceptance_5_census_invariants():
         except NotDivisionAlgebraError:
             continue
     assert len(quartics) >= 1000
+    schur_cohn_checked = 0
     for P in quartics:
         try:
             r = classify(P)
@@ -171,6 +173,14 @@ def test_acceptance_5_census_invariants():
         if e.n_less > 0:
             assert e.n_more > 0, P
         assert set(e.unity_orders) <= set(ALLOWED_UNITY_ORDERS), P
+        rest, n_on = off_circle_part(P.poly.coeffs)
+        assert n_on == e.n_on, P
+        try:
+            assert schur_cohn_inside(rest) == e.n_less, P
+            schur_cohn_checked += 1
+        except SchurCohnDegenerate:
+            pass
+    assert schur_cohn_checked >= 900, schur_cohn_checked
     with pytest.raises(InvalidStructureError):
         classify(CharPolyQuartic(parse_poly("1,-1,-1,-1,1")))
     report("5 root-census invariants on 1000 valid quartics; Salem rejected", 60.0, t0)

@@ -111,6 +111,16 @@ class TestAlgebraCommand:
         code, _, err = run(capsys, "algebra", "cm", "classify", "--element", element)
         assert code == 1
 
+    def test_fix_rejects_negative_n(self, capsys):
+        element = json.dumps({"kind": "real_quad", "d": 2, "a": 1, "b": 1})
+        code, out, err = run(capsys, "algebra", "rm", "fix", "--element", element, "-n", "-1")
+        assert code == 1 and out == "" and err
+
+    def test_fix_rejects_zero_n(self, capsys):
+        element = json.dumps({"kind": "real_quad", "d": 2, "a": 1, "b": 1})
+        code, out, err = run(capsys, "algebra", "rm", "fix", "--element", element, "-n", "0")
+        assert code == 1 and out == "" and err
+
     def test_split_symbol_exits_2(self, capsys):
         element = json.dumps(
             {"kind": "quaternion", "alpha": "5", "beta": "4", "coeffs": ["3", "0", "1", "0"]}

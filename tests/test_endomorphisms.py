@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torusfix.endomorphisms import (
+    MAX_ITERATE,
     AnalyticRep,
     RationalRep,
     char_poly_rational,
@@ -11,13 +12,12 @@ from torusfix.endomorphisms import (
     fix_count,
     fix_count_quartic,
     fix_sequence,
-    mat_det_int,
-    mat_pow,
 )
 from torusfix.errors import InvalidStructureError, NonIntegralError
 from torusfix.polynomials import parse_poly
 from torusfix.unitcircle import CharPolyQuartic
 
+from oracles import det_fix
 from util import random_int_matrix
 
 
@@ -76,27 +76,32 @@ class TestFixCount:
         while checked < 60:
             mat = random_int_matrix(rng)
             p = charpoly_int_matrix(mat)
+            try:
+                char_poly_rational(RationalRep(mat))
+                valid = True
+            except InvalidStructureError:
+                valid = False
             for n in (1, 2, 3, 5):
-                mn = mat_pow(mat, n)
-                det = mat_det_int(
-                    [[(1 if i == j else 0) - mn[i][j] for j in range(4)] for i in range(4)]
-                )
+                det = det_fix(mat, n)
                 assert det == fix_count_quartic(p, n)
+                if valid:
+                    assert fix_count(RationalRep(mat), n) == det
             checked += 1
 
     def test_quartic_route_matches_matrix_route(self):
         e = scalar_rep(-2)
         p = char_poly_rational(e).poly
         for n in range(1, 8):
-            assert fix_count(e, n) == fix_count_quartic(p, n)
+            assert fix_count(e, n) == fix_count_quartic(p, n) == det_fix(e.matrix, n)
 
     def test_identity_iterate_has_infinite_fixed_locus(self):
         rot = AnalyticRep(1, [[1, -1], [1, 0]])
         assert fix_count(rot, 6) == 0
 
     def test_rejects_bad_iterate(self):
-        with pytest.raises(ValueError):
-            fix_count(scalar_rep(2), 0)
+        for n in (-1, 0, MAX_ITERATE + 1):
+            with pytest.raises(ValueError):
+                fix_count(scalar_rep(2), n)
 
     def test_large_iterate_exact(self):
         # (2^128 - 1)^4, a ~154-digit integer, must come out exact
