@@ -13,17 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .errors import InvalidEndomorphismError, ZeroEndomorphismError
-from .endomorphisms import EndomorphismInput, char_poly_rational, fix_count_quartic
+from .endomorphisms import EndomorphismInput, char_poly_rational, fix_values
 from .intervals import RationalInterval
-from .polynomials import IntPolynomial, _divisors
+from .polynomials import IntPolynomial
 from .unitcircle import (
     DEFAULT_ENCLOSURE_WIDTH,
     CharPolyQuartic,
     EigenvalueClassification,
     _analyze,
+    _require_valid_structure,
 )
 
 DEFAULT_GROWTH_WIDTH = Fraction(1, 2 ** 20)
@@ -111,9 +113,9 @@ def classify(e: EndomorphismInput) -> BehaviorReport:
 def _minimal_period(p: IntPolynomial, census: EigenvalueClassification) -> tuple[int, tuple[int, ...]]:
     orders = [k for k in census.unity_orders]
     big = math.lcm(*orders) if orders else 1
-    full = [fix_count_quartic(p, n) for n in range(1, big + 1)]
-    for d in _divisors(big):
-        if all(full[n] == full[n % d] for n in range(big)):
+    full = list(islice(fix_values(p), big))
+    for d in range(1, big + 1):
+        if big % d == 0 and all(full[n] == full[n % d] for n in range(big)):
             return d, tuple(full[:d])
     return big, tuple(full)
 
@@ -122,9 +124,13 @@ def mahler_measure_interval(
     P: CharPolyQuartic, width: Fraction = DEFAULT_GROWTH_WIDTH
 ) -> RationalInterval:
     """Enclosure of prod max(1, |mu_i|) over the quartic's roots, of width
-    at most `width`; this is the exponential growth base of fix(f^n)."""
+    at most `width`; this is the exponential growth base of fix(f^n).
+
+    Raises InvalidStructureError if P fails conjugate-pair validation.
+    """
     if width <= 0:
         raise ValueError("width must be positive")
+    _require_valid_structure(P)
     return _analyze(P).growth_base(width)
 
 
@@ -134,8 +140,5 @@ def verify_b3_pattern(e: EndomorphismInput, report: BehaviorReport, n_max: int) 
         raise ValueError("report is not a B3 certificate")
     p = char_poly_rational(e).poly
     r = report.r
-    for n in range(1, n_max + 1):
-        zero = fix_count_quartic(p, n) == 0
-        if zero != (n % r == 0):
-            return False
-    return True
+    return all((value == 0) == (n % r == 0)
+               for n, value in zip(range(1, n_max + 1), fix_values(p)))

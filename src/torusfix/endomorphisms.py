@@ -4,16 +4,22 @@ The genus is fixed at 2: an endomorphism acts on the rank-4 lattice by a
 4x4 integer matrix (the rational representation) and on C^2 by a 2x2
 complex matrix (the analytic representation).  The Holomorphic Lefschetz
 formula gives fix(f^n) = |det(I_2 - rho_a(f)^n)|^2 = det(I_4 - rho_r(f)^n).
+
+Every count is prod (1 - mu_i^n) over the roots mu_i of the char poly,
+expanded as 1 - e_1 + e_2 - e_3 + e_4 in the elementary symmetric functions
+of the mu_i^n.  Newton's identities give e_1, e_2, e_3 from the power sums
+s_n, s_2n, s_3n, and e_4 = P(0)^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from itertools import islice
+from typing import Iterator, Union
 
 from .errors import InvalidStructureError, NonIntegralError
-from .polynomials import IntPolynomial, ONE, _square_free_kernel, power_mod, resultant
+from .polynomials import IntPolynomial, T, _square_free_kernel, power_mod
 from .unitcircle import CharPolyQuartic, validate_conjugate_pair_structure
 
 # n is capped to bound coefficient growth (entries grow linearly in n times
@@ -208,12 +214,48 @@ def fix_count(e: EndomorphismInput, n: int) -> int:
 
 
 def fix_count_quartic(p: IntPolynomial, n: int) -> int:
-    """Res(p, 1 - t^n) for monic p = prod (1 - mu_i^n), via t^n mod p."""
-    tn = power_mod(IntPolynomial((0, 1)), n, p)
-    q = ONE - tn
-    if q.is_zero():
-        return 0
-    return resultant(p, q)
+    """prod (1 - mu_i^n) over the roots of the monic quartic p.
+
+    With r = t^n mod p, mu^kn = r(mu)^k at every root, so s_kn is the trace
+    sum_m (r^k)_m s_m of r^k, which needs no reduction mod p.  The trace of
+    r^3 is sum_l r_l * sum_m (r^2)_m s_(m+l), so r^3 is never formed.
+    """
+    c = _quartic_coeffs(p)
+    r = power_mod(T, n, p)
+    r2 = r.square().coeffs
+    s = _power_sums(c, 10)
+
+    def trace(f, shift=0):
+        return sum(x * s[m + shift] for m, x in enumerate(f))
+
+    a, b = trace(r.coeffs), trace(r2)
+    d = sum(x * trace(r2, l) for l, x in enumerate(r.coeffs))
+    return _fix_from_power_sums(a, b, d, c[0] ** n)
+
+
+def fix_values(p: IntPolynomial) -> Iterator[int]:
+    """prod (1 - mu_i^n) over the roots of the monic quartic p, for
+    n = 1, 2, ...
+
+    The power sums of mu, mu^2 and mu^3 each follow the order-4 integer
+    recurrence of the quartic with those roots, whose coefficients come from
+    s_1..s_12 by Newton's identities; each keeps a 4-term window.
+    """
+    c = _quartic_coeffs(p)
+    s = _power_sums(c, 13)
+    recurrences = []
+    for k in (1, 2, 3):
+        window = [s[0], s[k], s[2 * k], s[3 * k]]
+        recurrences.append((_quartic_from_power_sums(window[1:] + [s[4 * k]]), window))
+    c0, c0n = c[0], 1
+    while True:
+        sums = []
+        for q, w in recurrences:
+            w.append(-(q[0] * w[0] + q[1] * w[1] + q[2] * w[2] + q[3] * w[3]))
+            del w[0]
+            sums.append(w[0])
+        c0n *= c0
+        yield _fix_from_power_sums(*sums, c0n)
 
 
 def fix_sequence(e: EndomorphismInput, n_max: int, force: bool = False) -> list[int]:
@@ -222,4 +264,38 @@ def fix_sequence(e: EndomorphismInput, n_max: int, force: bool = False) -> list[
     if n_max > MAX_ITERATE and not force:
         raise ValueError(f"n_max exceeds the iterate cap {MAX_ITERATE}")
     p = char_poly_rational(e).poly
-    return [fix_count_quartic(p, n) for n in range(1, n_max + 1)]
+    return list(islice(fix_values(p), n_max))
+
+
+def _quartic_coeffs(p: IntPolynomial) -> tuple[int, ...]:
+    """(c_0, c_1, c_2, c_3) of the monic quartic p."""
+    if p.degree != 4 or not p.is_monic():
+        raise ValueError(f"monic quartic required, got {p}")
+    return p.coeffs[:4]
+
+
+def _power_sums(c, count: int) -> list[int]:
+    """s_0..s_{count-1} of the roots of t^4 + c_3 t^3 + c_2 t^2 + c_1 t + c_0,
+    by Newton's identities s_k + sum_i c_{4-i} s_{k-i} + k c_{4-k} = 0, where
+    the last term belongs to k <= 4 only and at k = 4 equals c_0 s_0."""
+    s = [4]
+    for k in range(1, count):
+        s.append(-sum(c[4 - i] * (s[k - i] if i < k else k) for i in range(1, min(k, 4) + 1)))
+    return s
+
+
+def _quartic_from_power_sums(p: list[int]) -> tuple[int, ...]:
+    """(c_0, c_1, c_2, c_3) of the monic quartic whose roots have power sums
+    p_1..p_4; Newton's identities solved upwards, every division exact."""
+    c = [0, 0, 0, 0]
+    for k in range(1, 5):
+        c[4 - k] = -(p[k - 1] + sum(c[4 - i] * p[k - 1 - i] for i in range(1, k))) // k
+    return tuple(c)
+
+
+def _fix_from_power_sums(a: int, b: int, d: int, e4: int) -> int:
+    """prod (1 - x_i) over four numbers with power sums a, b, d and product e4:
+    1 - e_1 + e_2 - e_3 + e_4, where e_2 = (a^2 - b)/2 and
+    e_3 = (a^3 - 3ab + 2d)/6 exactly."""
+    aa = a * a
+    return 1 - a + (aa - b) // 2 - (a * (aa - 3 * b) + 2 * d) // 6 + e4

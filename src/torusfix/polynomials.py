@@ -81,6 +81,16 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial(out)
 
+    def square(self) -> "IntPolynomial":
+        """self * self, with each cross product computed once."""
+        cs = self.coeffs
+        out = [0] * max(2 * len(cs) - 1, 0)
+        for i, a in enumerate(cs):
+            out[2 * i] += a * a
+            for j in range(i + 1, len(cs)):
+                out[i + j] += 2 * a * cs[j]
+        return IntPolynomial(out)
+
     def scale(self, c: int) -> "IntPolynomial":
         return IntPolynomial([c * a for a in self.coeffs])
 
@@ -214,54 +224,6 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return IntPolynomial([int(c * den) for c in a]).primitive()
 
 
-def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """Res(p, q), exact, via fraction-free (Bareiss) elimination of the
-    Sylvester matrix.  For monic p this equals prod q(root_i of p)."""
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant requires non-zero polynomials")
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    # Sylvester matrix, descending coefficients per convention.
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    mat = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(pc):
-            mat[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(qc):
-            mat[n + i][i + j] = c
-    return _bareiss_det(mat)
-
-
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destructive)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for r in range(k + 1, n):
-                if mat[r][k] != 0:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
-
-
 _CYCLOTOMIC_TABLE = {
     1: (-1, 1),
     2: (1, 1),
@@ -304,7 +266,12 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs)
 
 
-@lru_cache(maxsize=4096)
+# One analysis asks for the same few polynomials many times; 256 entries
+# keep those hits while bounding what a long-running process retains.
+_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'), primitive with positive leading coefficient."""
     if p.is_zero():
@@ -343,7 +310,7 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
@@ -450,7 +417,14 @@ def refine_root(p: IntPolynomial, interval: RationalInterval,
 
 
 def rational_roots(p: IntPolynomial) -> list[Fraction]:
-    """All rational roots (distinct) of a non-zero integer polynomial."""
+    """All rational roots (distinct, sorted) of a non-zero integer polynomial.
+
+    With a the leading coefficient and d the degree of the part q without
+    the root 0, x is a root of q exactly when y = a*x is a root of the monic
+    Q(y) = a^(d-1) q(y/a), whose rational roots are integers.  Sturm counts
+    of Q's square-free part over integer intervals inside the Cauchy bound
+    bisect down to those integers, in time polynomial in the bit size.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
     k = p.trailing_zero_count()
@@ -458,26 +432,25 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
     q = IntPolynomial(p.coeffs[k:])
     if q.degree == 0:
         return roots
-    a0, an = abs(q.coeffs[0]), abs(q.leading)
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * num, den)
-                if q(cand) == 0 and cand not in roots:
-                    roots.append(cand)
+    a, d = q.leading, q.degree
+    w = square_free_part(IntPolynomial(
+        [c * a ** (d - 1 - i) for i, c in enumerate(q.coeffs[:-1])] + [1]
+    ))
+    chain = sturm_chain(w)
+    b = math.ceil(cauchy_bound(w))
+    stack = [(-b, b)]  # integer (lo, hi]; every real root lies strictly inside
+    while stack:
+        lo, hi = stack.pop()
+        if _sign_variations(chain, lo) == _sign_variations(chain, hi):
+            continue
+        if hi - lo == 1:
+            if w(hi) == 0:
+                roots.append(Fraction(hi, a))
+            continue
+        mid = (lo + hi) // 2
+        stack.append((lo, mid))
+        stack.append((mid, hi))
     return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
 
 
 def _square_free_kernel(n: int) -> int:
@@ -509,26 +482,36 @@ def is_square_rational(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _reduce_mod(cs: list[int], modulus: IntPolynomial) -> IntPolynomial:
+    """The remainder of the coefficient list cs by a monic modulus."""
+    d = modulus.degree
+    low = modulus.coeffs[:-1]
+    while len(cs) > d:
+        c = cs.pop()
+        if c:
+            base = len(cs) - d
+            for j, m in enumerate(low):
+                cs[base + j] -= c * m
+    return IntPolynomial(cs)
+
+
 def power_mod(base: IntPolynomial, n: int, modulus: IntPolynomial) -> IntPolynomial:
-    """base^n mod modulus for monic integer modulus (exact reduction)."""
+    """base^n mod modulus for monic integer modulus (exact reduction).
+
+    Left-to-right square-and-multiply, so the last step is a multiply and no
+    square is discarded; when the base is t, each multiply is a shift.
+    """
     if not modulus.is_monic():
         raise ValueError("modulus must be monic")
-
-    def red(f: IntPolynomial) -> IntPolynomial:
-        cs = list(f.coeffs)
-        d = modulus.degree
-        while len(cs) > d:
-            c = cs.pop()
-            if c:
-                for j, m in enumerate(modulus.coeffs[:-1]):
-                    cs[len(cs) - d + j] -= c * m
-        return IntPolynomial(cs)
-
-    result = ONE
-    base = red(base)
-    while n:
-        if n & 1:
-            result = red(result * base)
-        base = red(base * base)
-        n >>= 1
+    if n < 0:
+        raise ValueError(f"exponent must be non-negative, got {n}")
+    if n == 0:
+        return ONE
+    base = _reduce_mod(list(base.coeffs), modulus)
+    result = base
+    for bit in bin(n)[3:]:
+        result = _reduce_mod(list(result.square().coeffs), modulus)
+        if bit == "1":
+            product = [0, *result.coeffs] if base == T else list((result * base).coeffs)
+            result = _reduce_mod(product, modulus)
     return result

