@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Optional
 
 from . import behavior as _behavior
@@ -37,11 +36,7 @@ from .polynomials import (
     square_free_part,
     count_real_roots,
 )
-from .unitcircle import (
-    CharPolyQuartic,
-    _max_real_root_exceeds,
-    _resolvent_cubic,
-)
+from .unitcircle import CharPolyQuartic, _resolvent_cubic
 
 
 # -- Type 0/1: integer and real multiplication --------------------------------
@@ -301,35 +296,30 @@ class CMFieldDesc:
 
 
 def _is_irreducible_quartic(g: IntPolynomial) -> bool:
+    """Without rational roots, g is reducible iff (Gauss's lemma) it is
+    (t^2 + pt + q)(t^2 + rt + s) over Z, and then q + s is an integer root u
+    of the monic resolvent cubic, with q s = c0, p + r = c3, p r = c2 - u."""
     if rational_roots(g):
         return False
-    # search integer quadratic factorizations (t^2+pt+q)(t^2+rt+s)
     c0, c1, c2, c3, _ = g.coeffs
-    for q in _divisor_pairs(c0):
-        s, q = q  # (s, q) with q*s = c0
-        # p + r = c3; pr = c2 - q - s; p s + q r = c1
-        prod = c2 - q - s
-        disc = c3 * c3 - 4 * prod
-        root = math.isqrt(abs(disc)) if disc >= 0 else -1
-        if disc < 0 or root * root != disc:
+    for u in map(int, rational_roots(_resolvent_cubic(g))):
+        qs, pr = _integer_pair(u, c0), _integer_pair(c3, c2 - u)
+        if qs is None or pr is None:
             continue
-        for p in ((c3 + root) // 2, (c3 - root) // 2):
-            r = c3 - p
-            if p + r == c3 and p * r == prod and p * s + q * r == c1:
-                return False
+        (q, s), (p, r) = qs, pr
+        if c1 in (p * s + q * r, r * s + q * p):
+            return False
     return True
 
 
-def _divisor_pairs(n: int):
-    if n == 0:
-        yield (0, 0)
-        return
-    d = 1
-    while d * d <= abs(n):
-        if n % d == 0:
-            for a in (d, -d):
-                yield (a, n // a)
-        d += 1
+def _integer_pair(total: int, prod: int) -> Optional[tuple[int, int]]:
+    """The integers x >= y with x + y = total and x y = prod, or None."""
+    disc = total * total - 4 * prod
+    root = math.isqrt(max(disc, 0))
+    if root * root != disc:
+        return None
+    # disc = total^2 (mod 4), so root and total have the same parity
+    return (total + root) // 2, (total - root) // 2
 
 
 def _depress_quartic(g: IntPolynomial) -> tuple[Fraction, Fraction, Fraction]:
@@ -469,37 +459,21 @@ def mcmullen_family(a: int) -> CharPolyQuartic:
     return CharPolyQuartic(IntPolynomial((1, 1, a, 0, 1)))
 
 
-def _min_modulus_sq_below(w: IntPolynomial, e: Fraction) -> bool:
-    """Exact test min |root|^2 < e for a monic integer quartic with no real
-    roots, no zero roots and no unit-circle roots."""
-    ws = square_free_part(w)
-    if ws.degree == 2:
-        return Fraction(ws.coeffs[0], ws.coeffs[2]) < e
-    if ws.degree != 4:
-        raise ValueError(f"{w} is not a quartic without repeated roots")
-    c0 = Fraction(ws.coeffs[0])
-    res = _resolvent_cubic(ws)
-    # V(y) = y^2 - u* y + c0 has roots m1^2 <= m2^2; sign(V(e)) for e > 0
-    # is the sign of (e^2 + c0)/e - u*.
-    cmp_v = _max_real_root_exceeds(res, (e * e + c0) / e)
-    if cmp_v > 0:
-        return True  # V(e) < 0: e lies between the two moduli squared
-    if cmp_v == 0:
-        return False  # e equals one of the moduli squared
-    # same side of both roots: below both iff u* >= 2e
-    return _max_real_root_exceeds(res, 2 * e) < 0
-
-
 def find_small_eigenvalue_parameter(eps: Fraction) -> int:
-    """Least a >= 0 such that t^4 + a t^2 + t + 1 has a root of modulus
-    < eps.  The small conjugate pair has |root|^2 ~ 1/a, so this terminates."""
+    """Least a >= 0 such that t^4 + a t^2 + t + 1 has a root of modulus < eps.
+
+    Closed form: max(0, floor((y0^3 - 4 y0 - 1) / (y0^2 - 4)) + 1) with
+    y0 = e + 1/e, e = eps^2 (0 for eps = 1).  With c0 = 1, |mu|^2 < e iff the
+    resolvent's largest root exceeds y0, iff R_a(y0) = y0^3 - a y0^2 - 4 y0 +
+    4a - 1 < 0, since R_a(2) = -1 and its other roots 2 Re(mu nu) are <= 2."""
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
+    if eps == 1:
+        return 0
     e = eps * eps
-    for a in count(0):
-        if _min_modulus_sq_below(mcmullen_family(a).poly, e):
-            return a
+    y0 = e + 1 / e
+    return max(0, math.floor((y0 ** 3 - 4 * y0 - 1) / (y0 * y0 - 4)) + 1)
 
 
 def sl2_family(a: int, b: int, c: int, d: int) -> AnalyticRep:

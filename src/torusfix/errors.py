@@ -12,7 +12,8 @@ class NonIntegralError(TorusFixError):
 
 class InvalidStructureError(TorusFixError):
     """A quartic fails the conjugate-pair root structure required of the
-    rational representation of a torus endomorphism."""
+    rational representation of a torus endomorphism, or a radicand is too
+    large for the square-free test's trial-division limit."""
 
 
 class InvalidEndomorphismError(TorusFixError):

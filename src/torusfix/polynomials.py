@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Optional
 
+from .errors import InvalidStructureError
 from .intervals import RationalInterval
 
 
@@ -453,21 +454,36 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
     return sorted(roots)
 
 
+# Past this trial divisor _square_free_kernel gives up (well under a second);
+# every |n| < 2^63 = (2^21)^3 stays below it.
+KERNEL_TRIAL_DIVISOR_LIMIT = 1 << 21
+
+
 def _square_free_kernel(n: int) -> int:
     """The square-free part: product of the primes of odd exponent, so that
-    sqrt(n) = k * sqrt(kernel) with k an integer."""
-    n = abs(n)
+    sqrt(n) = k * sqrt(kernel) with k an integer; 0 for n = 0.  Trial
+    division stops once d^3 exceeds the unfactored part m, which is then 1,
+    p, p^2 or p q; raises InvalidStructureError past the divisor limit."""
+    m = abs(n)
+    if m == 0:
+        return 0
     out = 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= m:
+        if d > KERNEL_TRIAL_DIVISOR_LIMIT:
+            raise InvalidStructureError(
+                f"cannot take the square-free part of a {n.bit_length()}-bit "
+                f"integer: it needs trial division past {KERNEL_TRIAL_DIVISOR_LIMIT}"
+            )
         exp = 0
-        while n % d == 0:
-            n //= d
+        while m % d == 0:
+            m //= d
             exp += 1
         if exp % 2:
             out *= d
         d += 1
-    return out * n
+    root = math.isqrt(m)
+    return out if root * root == m else out * m
 
 
 def is_square_rational(q: Fraction) -> Optional[Fraction]:

@@ -75,6 +75,46 @@ def rational_roots(coeffs) -> list[Fraction]:
     return sorted(roots)
 
 
+def is_irreducible_quartic(coeffs) -> bool:
+    """Irreducibility over Q of a monic integer quartic (ascending
+    coefficients): no rational root and, by Gauss's lemma, no factorization
+    (t^2 + pt + q)(t^2 + rt + s) over Z, searched over every divisor pair
+    q s = c0 (exponential in the bit size; small inputs only)."""
+    if rational_roots(coeffs):
+        return False
+    c0, c1, c2, c3, _ = coeffs  # c0 != 0, or 0 would be a rational root
+    for d in range(1, math.isqrt(abs(c0)) + 1):
+        if c0 % d:
+            continue
+        for s in (d, -d):
+            q = c0 // s
+            # p + r = c3; p r = c2 - q - s; p s + q r = c1
+            prod = c2 - q - s
+            disc = c3 * c3 - 4 * prod
+            root = math.isqrt(disc) if disc >= 0 else -1
+            if root * root != disc:
+                continue
+            for p in ((c3 + root) // 2, (c3 - root) // 2):
+                r = c3 - p
+                if p * r == prod and p * s + q * r == c1:
+                    return False
+    return True
+
+
+def square_free_kernel(n: int) -> int:
+    """Product of the primes of odd exponent in n (0 for n = 0), by trial
+    division up to the square root."""
+    n, out, d = abs(n), 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        if n % d == 0:
+            n //= d
+            out *= d
+        d += 1
+    return out * n
+
+
 # -- exact polynomial division -------------------------------------------------
 
 

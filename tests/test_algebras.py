@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusfix.algebras import (
+    _is_irreducible_quartic,
     CMElement,
     CMFieldDesc,
     QuaternionAlgebraDesc,
@@ -37,7 +39,9 @@ from torusfix.errors import (
     ZeroEndomorphismError,
     ZeroNormError,
 )
-from torusfix.polynomials import cyclotomic, parse_poly
+from torusfix.polynomials import IntPolynomial, cyclotomic, parse_poly
+
+from oracles import SchurCohnDegenerate, is_irreducible_quartic, schur_cohn_inside
 
 
 class TestRealQuadratic:
@@ -179,6 +183,19 @@ class TestCMField:
             CMFieldDesc(cyclotomic(5), d=3)
         assert CMFieldDesc(cyclotomic(5), d=5).d == 5
 
+    @given(st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_irreducibility_matches_divisor_search(self, low):
+        coeffs = tuple(low) + (1,)
+        assert _is_irreducible_quartic(IntPolynomial(coeffs)) == is_irreducible_quartic(coeffs)
+
+    @given(st.integers(-40, 40), st.integers(-12, 12), st.integers(-40, 40), st.integers(-12, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_products_of_quadratics_are_reducible(self, q, p, s, r):
+        coeffs = (q * s, p * s + q * r, p * r + q + s, p + r, 1)
+        assert not is_irreducible_quartic(coeffs)
+        assert not _is_irreducible_quartic(IntPolynomial(coeffs))
+
 
 class TestCMElements:
     def test_generator_char_poly_is_minimal(self):
@@ -262,6 +279,28 @@ class TestFamilies:
         assert find_small_eigenvalue_parameter(Fraction(1, 2)) == 5
         with pytest.raises(ValueError):
             find_small_eigenvalue_parameter(Fraction(3, 2))
+
+    def test_small_eigenvalue_search_matches_schur_cohn(self):
+        # For eps = p/q the roots of t^4 + a t^2 + t + 1 of modulus < eps are
+        # the roots inside the unit disk of q^4 P_a(eps z).
+        def inside(a, eps):
+            p, q = eps.numerator, eps.denominator
+            return schur_cohn_inside([q ** 4, p * q ** 3, a * p * p * q * q, 0, p ** 4])
+
+        grid = {Fraction(n, d) for d in range(1, 41) for n in range(1, d + 1)}
+        extra = {Fraction(1, 60), Fraction(1, 10 ** 6), Fraction(7, 10 ** 9), Fraction(35, 36)}
+        checked = 0
+        for eps in sorted(grid | extra):
+            a = find_small_eigenvalue_parameter(eps)
+            try:
+                assert inside(a, eps) >= 1, (eps, a)
+                assert a == 0 or inside(a - 1, eps) == 0, (eps, a)
+            except SchurCohnDegenerate:
+                continue
+            checked += 1
+        assert find_small_eigenvalue_parameter(Fraction(35, 36)) == 0
+        assert find_small_eigenvalue_parameter(Fraction(1, 10 ** 6)) == 10 ** 12 + 1
+        assert checked >= 490
 
     def test_small_eigenvalue_monotone(self):
         values = [

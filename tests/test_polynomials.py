@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from torusfix.intervals import RationalInterval, sqrt_interval
 from torusfix.polynomials import (
     IntPolynomial,
+    _square_free_kernel,
     cauchy_bound,
     count_real_roots,
     cyclotomic,
@@ -26,6 +27,7 @@ from torusfix.polynomials import (
 
 from oracles import rational_roots as rational_root_theorem
 from oracles import resultant as sylvester_resultant
+from oracles import square_free_kernel
 
 T = IntPolynomial((0, 1))
 
@@ -196,6 +198,19 @@ class TestSquareFree:
                 for _ in range(m):
                     rebuilt = rebuilt * f
             assert rebuilt.primitive() == p.primitive()
+
+
+    @given(st.integers(-10 ** 12, 10 ** 12))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_trial_division(self, n):
+        assert _square_free_kernel(n) == square_free_kernel(n)
+
+    @given(st.integers(1, 2000), st.integers(1, 2000), st.integers(1, 10 ** 5))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_of_square_and_cube_factors(self, a, b, c):
+        # m = p^2 and m = p q left after the cube-root bound, and cubes below it
+        for n in (a * a * c, a * a * a * b, a * b * c * c, 0):
+            assert _square_free_kernel(n) == square_free_kernel(n)
 
 
 class TestMisc:
