@@ -27,11 +27,11 @@ from .errors import (
     ZeroNormError,
 )
 from .endomorphisms import AnalyticRep, RationalRep, charpoly_frac, fix_count
+from .intervals import is_square_rational
 from .polynomials import (
     IntPolynomial,
     _square_free_kernel,
     cyclotomic,
-    is_square_rational,
     rational_roots,
     square_free_part,
     count_real_roots,

@@ -17,8 +17,11 @@ class InvalidStructureError(TorusFixError):
 
 
 class InvalidEndomorphismError(TorusFixError):
-    """A unit-circle root is not a root of unity, certifying that the
-    input is not realizable by a torus endomorphism."""
+    """A verdict contradicts the structure of the input (mixed behaviour
+    with several unity orders, or from an algebra element that cannot be
+    mixed), certifying that it is not realizable by a torus endomorphism.
+    A unit-circle root that is not a root of unity fails conjugate-pair
+    validation instead, with InvalidStructureError."""
 
 
 class NotDivisionAlgebraError(TorusFixError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
@@ -51,17 +49,10 @@ class RationalInterval:
             return RationalInterval(self.lo * c, self.hi * c)
         return RationalInterval(self.hi * c, self.lo * c)
 
-    def shift(self, c) -> "RationalInterval":
-        c = Fraction(c)
-        return RationalInterval(self.lo + c, self.hi + c)
-
     def reciprocal(self) -> "RationalInterval":
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("interval straddles zero")
         return RationalInterval(1 / self.hi, 1 / self.lo)
-
-    def max_with_one(self) -> "RationalInterval":
-        return RationalInterval(max(self.lo, Fraction(1)), max(self.hi, Fraction(1)))
 
     def intpow(self, k: int) -> "RationalInterval":
         if k < 0:
@@ -80,7 +71,7 @@ def sqrt_interval(x: RationalInterval, width: Fraction) -> RationalInterval:
     if x.lo < 0:
         raise ValueError("negative radicand")
     if x.lo == x.hi:
-        exact = _exact_sqrt(x.lo)
+        exact = is_square_rational(x.lo)
         if exact is not None:
             return RationalInterval.point(exact)
     lo = _sqrt_lower(x.lo, width / 2)
@@ -88,10 +79,14 @@ def sqrt_interval(x: RationalInterval, width: Fraction) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-def _exact_sqrt(x: Fraction):
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
+def is_square_rational(q: Fraction) -> Optional[Fraction]:
+    """Exact positive square root of a rational square, else None."""
+    q = Fraction(q)
+    if q < 0:
+        return None
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
 

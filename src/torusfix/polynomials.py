@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import InvalidStructureError
 from .intervals import RationalInterval
@@ -92,15 +92,6 @@ class IntPolynomial:
                 out[i + j] += 2 * a * cs[j]
         return IntPolynomial(out)
 
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial([c * a for a in self.coeffs])
-
-    def shift_degree(self, k: int) -> "IntPolynomial":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -161,13 +152,7 @@ class IntPolynomial:
             raise ValueError(f"quotient of {self} by {other} is not integral")
         return IntPolynomial([int(q) for q in quo])
 
-    def divides(self, other: "IntPolynomial") -> bool:
-        """True iff self divides other over the rationals."""
-        _, rem = other.divmod_rational(self)
-        return not rem
 
-
-ZERO = IntPolynomial(())
 ONE = IntPolynomial((1,))
 T = IntPolynomial((0, 1))
 
@@ -189,13 +174,6 @@ def parse_poly(text: str) -> IntPolynomial:
 
 
 # -- core operations --------------------------------------------------------
-
-
-def poly_reverse(p: IntPolynomial) -> IntPolynomial:
-    """t^deg(p) * p(1/t): the reversed coefficient list, trimmed."""
-    if p.is_zero():
-        raise ValueError("cannot reverse the zero polynomial")
-    return IntPolynomial(tuple(reversed(p.coeffs)))
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -250,10 +228,6 @@ def cyclotomic(k: int) -> IntPolynomial:
     if k not in _CYCLOTOMIC_TABLE:
         raise ValueError(f"cyclotomic order {k} outside supported range 1..12")
     return IntPolynomial(_CYCLOTOMIC_TABLE[k])
-
-
-def euler_phi(k: int) -> int:
-    return len(_CYCLOTOMIC_TABLE[k]) - 1
 
 
 # -- real root machinery -----------------------------------------------------
@@ -486,29 +460,20 @@ def _square_free_kernel(n: int) -> int:
     return out if root * root == m else out * m
 
 
-def is_square_rational(q: Fraction) -> Optional[Fraction]:
-    """Exact positive square root of a rational square, else None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _reduce_mod(cs: list[int], modulus: IntPolynomial) -> IntPolynomial:
-    """The remainder of the coefficient list cs by a monic modulus."""
+def divmod_monic(p: IntPolynomial, modulus: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Quotient and remainder of p by a monic modulus, in integers."""
     d = modulus.degree
     low = modulus.coeffs[:-1]
+    cs = list(p.coeffs)
+    quo = [0] * max(len(cs) - d, 0)
     while len(cs) > d:
         c = cs.pop()
         if c:
             base = len(cs) - d
+            quo[base] = c
             for j, m in enumerate(low):
                 cs[base + j] -= c * m
-    return IntPolynomial(cs)
+    return IntPolynomial(quo), IntPolynomial(cs)
 
 
 def power_mod(base: IntPolynomial, n: int, modulus: IntPolynomial) -> IntPolynomial:
@@ -523,11 +488,11 @@ def power_mod(base: IntPolynomial, n: int, modulus: IntPolynomial) -> IntPolynom
         raise ValueError(f"exponent must be non-negative, got {n}")
     if n == 0:
         return ONE
-    base = _reduce_mod(list(base.coeffs), modulus)
+    base = divmod_monic(base, modulus)[1]
     result = base
     for bit in bin(n)[3:]:
-        result = _reduce_mod(list(result.square().coeffs), modulus)
+        result = divmod_monic(result.square(), modulus)[1]
         if bit == "1":
-            product = [0, *result.coeffs] if base == T else list((result * base).coeffs)
-            result = _reduce_mod(product, modulus)
+            product = IntPolynomial((0, *result.coeffs)) if base == T else result * base
+            result = divmod_monic(product, modulus)[1]
     return result

@@ -1,20 +1,20 @@
 """Exact classification of quartic roots relative to the unit circle.
 
-Roots on the circle are detected structurally (gcd with the reversed
-polynomial, then the u = t + 1/t substitution); no floating point is
-involved anywhere, since no tolerance can distinguish |mu| = 1 from
-|mu| = 1 +- eps for an integer polynomial.
+Roots on the circle are found structurally: for a validated quartic they
+are roots of unity, so exact integer division by the cyclotomic
+polynomials of degree <= 4 strips them.  No floating point is involved
+anywhere, since no tolerance can distinguish |mu| = 1 from |mu| = 1 +- eps
+for an integer polynomial.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import InvalidEndomorphismError, InvalidStructureError
-from .intervals import RationalInterval, sqrt_interval
+from .intervals import RationalInterval, is_square_rational, sqrt_interval
 from .polynomials import (
     ALLOWED_UNITY_ORDERS,
     IntPolynomial,
@@ -22,10 +22,7 @@ from .polynomials import (
     cauchy_bound,
     count_real_roots,
     cyclotomic,
-    euler_phi,
-    is_square_rational,
-    poly_gcd,
-    poly_reverse,
+    divmod_monic,
     real_root_isolation,
     refine_root,
     square_free_part,
@@ -81,156 +78,37 @@ def validate_conjugate_pair_structure(P: CharPolyQuartic) -> bool:
     return True
 
 
-def _strip_pm_one(p: IntPolynomial) -> tuple[IntPolynomial, int, int]:
-    """Divide out all (t-1) and (t+1) factors; returns (rest, mult1, mult_neg1)."""
-    m1 = 0
-    while p(1) == 0:
-        p = p.divexact(IntPolynomial((-1, 1)))
-        m1 += 1
-    m2 = 0
-    while p(-1) == 0:
-        p = p.divexact(IntPolynomial((1, 1)))
-        m2 += 1
-    return p, m1, m2
+def unit_circle_factor(
+    P: CharPolyQuartic,
+) -> tuple[IntPolynomial, tuple[int, ...], IntPolynomial]:
+    """(circle, orders, cofactor) for a quartic that passes conjugate-pair
+    validation: P = t^k * circle * cofactor, where the circle factor
+    carries exactly the unit-circle roots, orders lists their unity orders
+    per root (ascending, with multiplicity), and the cofactor carries the
+    roots off the circle and away from 0.
 
-
-def _chebyshev_like(n: int) -> IntPolynomial:
-    """c_n(u) with c_n(t + 1/t) = t^n + t^-n: c_0=2, c_1=u, c_n = u*c_{n-1} - c_{n-2}."""
-    a, b = IntPolynomial((2,)), IntPolynomial((0, 1))
-    if n == 0:
-        return a
-    for _ in range(n - 1):
-        a, b = b, IntPolynomial((0, 1)) * b - a
-    return b
-
-
-def _self_inversive_to_u(g: IntPolynomial) -> IntPolynomial:
-    """For self-reciprocal g of even degree 2k, the h with g(t) = t^k h(t+1/t)."""
-    if poly_reverse(g) != g:
-        raise ValueError("not self-reciprocal")
-    if g.degree % 2 != 0:
-        raise ValueError("even degree required")
-    k = g.degree // 2
-    h = IntPolynomial((g.coeffs[k],))
-    for j in range(1, k + 1):
-        h = h + _chebyshev_like(j).scale(g.coeffs[k + j])
-    return h
-
-
-def _quadratic_from_u_root(u: Fraction) -> IntPolynomial:
-    """Primitive integer quadratic with roots t where t + 1/t = u."""
-    den = u.denominator
-    return IntPolynomial((den, -u.numerator, den))
-
-
-def unit_circle_factor(P: CharPolyQuartic) -> IntPolynomial:
-    """The exact monic integer factor of P carrying precisely the
-    unit-circle roots, with multiplicity."""
+    By Kronecker's theorem the circle factor of a validated quartic is a
+    product of the Phi_k with k in ALLOWED_UNITY_ORDERS: a circle root that
+    is not a root of unity has a self-reciprocal minimal polynomial of
+    degree 4 with a real reciprocal pair of simple roots off the circle,
+    which validation rejects.  So one pass of exact monic divisions by
+    each Phi_k finds it.  On an unvalidated quartic the circle factor may
+    miss such roots.
+    """
     p = P.poly
-    nz = p.trailing_zero_count()
-    p = IntPolynomial(p.coeffs[nz:])
-    p, m_one, m_neg = _strip_pm_one(p)
-    factor = _power(IntPolynomial((-1, 1)), m_one) * _power(IntPolynomial((1, 1)), m_neg)
-    if p.degree == 0:
-        return factor
-    g = poly_gcd(p, poly_reverse(p))
-    # make multiplicities of g match those in p (gcd may over/undercount only
-    # via reversal symmetry; min() is already right, but keep g | p exact)
-    if g.degree == 0:
-        return factor
-    if poly_reverse(g) != g:
-        # +-1 roots were stripped, so the gcd must be genuinely self-reciprocal
-        raise InvalidEndomorphismError("reciprocal factor is not self-reciprocal")
-    for h_factor, mult in squarefree_decomposition(g):
-        if poly_reverse(h_factor) != h_factor:
-            # factor paired with its distinct reverse: roots off the circle
-            continue
-        h = _self_inversive_to_u(h_factor)
-        if h.degree == 1:
-            u0 = Fraction(-h.coeffs[0], h.coeffs[1])
-            if -2 <= u0 <= 2:
-                quad = _quadratic_from_u_root(u0)
-                factor = factor * _power(quad, _multiplicity(P.poly, quad))
-        elif h.degree == 2:
-            inside = _count_u_roots_in_closed_2(h)
-            if inside == 2:
-                factor = factor * _power(h_factor, _multiplicity(P.poly, h_factor))
-            elif inside == 1:
-                # circle pair entangled with a real reciprocal pair (Salem-type);
-                # the circle factor is not rational
-                raise InvalidStructureError(
-                    "unit-circle roots do not form a rational factor"
-                )
-        # h.degree == 0 cannot occur for deg h_factor >= 2
-    return factor
-
-
-def _count_u_roots_in_closed_2(h: IntPolynomial) -> int:
-    """Distinct real roots of square-free h in [-2, 2]."""
-    count = 0
-    hh = square_free_part(h)
-    for end in (-2, 2):
-        if hh(end) == 0:
-            count += 1
-            hh = hh.divexact(IntPolynomial((-end, 1)))
-    if hh.degree > 0:
-        count += sturm_count(hh, RationalInterval(Fraction(-2), Fraction(2)))
-    return count
-
-
-def _multiplicity(p: IntPolynomial, factor: IntPolynomial) -> int:
-    m = 0
-    while factor.divides(p):
-        p = p.divexact(factor)
-        m += 1
-    return m
-
-
-def _power(p: IntPolynomial, k: int) -> IntPolynomial:
-    out = ONE
-    for _ in range(k):
-        out = out * p
-    return out
-
-
-def root_of_unity_order(q: IntPolynomial) -> Optional[int]:
-    """If q is a product of cyclotomics of order <= 12, the lcm of the
-    orders; otherwise None."""
-    if q.is_zero() or not q.is_monic() or q.degree < 1:
-        raise ValueError("monic integer polynomial of degree >= 1 required")
-    orders = []
-    for k in ALLOWED_UNITY_ORDERS:
-        phi_k = cyclotomic(k)
-        while phi_k.divides(q):
-            q = q.divexact(phi_k)
-            orders.append(k)
-            if q.degree == 0:
-                break
-        if q.degree == 0:
-            break
-    if q.degree != 0 or not orders:
-        return None
-    return math.lcm(*orders)
-
-
-def cyclotomic_orders_with_multiplicity(q: IntPolynomial) -> Optional[list[int]]:
-    """Per-root unity orders of a cyclotomic-product polynomial: Phi_6^2
-    contributes four entries of 6.  None if q is not such a product."""
-    if q.degree == 0:
-        return []
+    cofactor = IntPolynomial(p.coeffs[p.trailing_zero_count():])
+    circle = ONE
     orders: list[int] = []
     for k in ALLOWED_UNITY_ORDERS:
-        phi_k = cyclotomic(k)
-        while phi_k.divides(q):
-            q = q.divexact(phi_k)
-            orders.extend([k] * euler_phi(k))
-            if q.degree == 0:
+        phi = cyclotomic(k)
+        while cofactor.degree >= phi.degree:
+            quo, rem = divmod_monic(cofactor, phi)
+            if not rem.is_zero():
                 break
-        if q.degree == 0:
-            break
-    if q.degree != 0:
-        return None
-    return sorted(orders)
+            cofactor = quo
+            circle = circle * phi
+            orders.extend([k] * phi.degree)
+    return circle, tuple(orders), cofactor
 
 
 # -- off-circle root groups ---------------------------------------------------
@@ -314,8 +192,8 @@ def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
 
     # detect m1 = m2 exactly: u* = 2 sqrt(c0), i.e. u*^2 = 4 c0
     equal_moduli = False
-    if is_positive_rational_square(4 * c0):
-        u_eq = _sqrt_of_rational(4 * c0)
+    u_eq = is_square_rational(4 * c0)
+    if u_eq is not None:
         equal_moduli = res(u_eq) == 0 and _max_real_root_exceeds(res, u_eq) == 0
     else:
         # res(2 sqrt(c0)) = 0 with sqrt(c0) irrational forces both the even
@@ -328,12 +206,10 @@ def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
             equal_moduli = y_rest <= 0 or y_rest * y_rest < 4 * c0
 
     if equal_moduli:
-        if is_positive_rational_square(c0):
-            enclosure_eq = _point(_sqrt_of_rational(c0))
-        else:
 
-            def enclosure_eq(width: Fraction) -> RationalInterval:
-                return sqrt_interval(RationalInterval.point(c0), width)
+        def enclosure_eq(width: Fraction) -> RationalInterval:
+            # a point interval when c0 is a rational square
+            return sqrt_interval(RationalInterval.point(c0), width)
 
         return _OffCircleFactor(groups, lambda: [enclosure_eq, enclosure_eq])
 
@@ -368,17 +244,6 @@ def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
         return [msq(False), msq(True)]
 
     return _OffCircleFactor(groups, enclosures)
-
-
-def is_positive_rational_square(q: Fraction) -> bool:
-    return q >= 0 and is_square_rational(q) is not None
-
-
-def _sqrt_of_rational(q: Fraction) -> Fraction:
-    r = is_square_rational(q)
-    if r is None:
-        raise ValueError(f"{q} is not a rational square")
-    return r
 
 
 def _real_root_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
@@ -508,24 +373,11 @@ class _Analysis:
 
 
 def _analyze(P: CharPolyQuartic) -> _Analysis:
-    """Analyse P once, without validating its conjugate-pair structure.
-
-    Raises InvalidEndomorphismError if a unit-circle root is not a root of
-    unity (impossible for genuine torus endomorphisms; certifies that P is
-    not realizable), and InvalidStructureError where the off-circle roots
-    lack the structure validation would have required.
-    """
-    p = P.poly
-    n_zero = p.trailing_zero_count()
-    circle = unit_circle_factor(P)
-    orders = cyclotomic_orders_with_multiplicity(circle)
-    if orders is None:
-        raise InvalidEndomorphismError(
-            f"unit-circle factor {circle} is not a product of cyclotomics"
-        )
-    w = IntPolynomial(p.coeffs[n_zero:]).divexact(circle)
+    """Analyse P once.  P must already pass conjugate-pair validation,
+    which every caller checks first; the circle factor relies on it."""
+    circle, orders, w = unit_circle_factor(P)
     factors = tuple(_off_circle_factors(w)) if w.degree else ()
-    return _Analysis(n_zero, circle, tuple(orders), w, factors)
+    return _Analysis(P.poly.trailing_zero_count(), circle, orders, w, factors)
 
 
 def count_roots_by_modulus(
@@ -534,8 +386,8 @@ def count_roots_by_modulus(
 ) -> EigenvalueClassification:
     """Exact modulus census of the quartic's four roots.
 
-    Raises InvalidStructureError if P fails conjugate-pair validation and
-    InvalidEndomorphismError if a unit-circle root is not a root of unity.
+    Raises InvalidStructureError if P fails conjugate-pair validation;
+    every unit-circle root of a validated quartic is a root of unity.
     """
     _require_valid_structure(P)
     return _analyze(P).census(enclosure_width)

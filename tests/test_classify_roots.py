@@ -3,15 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torusfix.behavior import mahler_measure_interval
-from torusfix.errors import InvalidEndomorphismError, InvalidStructureError
-from torusfix.polynomials import parse_poly, square_free_part
+from torusfix.behavior import classify, mahler_measure_interval
+from torusfix.cli import main
+from torusfix.errors import InvalidStructureError
+from torusfix.polynomials import (
+    ALLOWED_UNITY_ORDERS,
+    ONE,
+    IntPolynomial,
+    cyclotomic,
+    parse_poly,
+    square_free_part,
+)
 from torusfix.unitcircle import (
     CharPolyQuartic,
     count_roots_by_modulus,
-    cyclotomic_orders_with_multiplicity,
-    root_of_unity_order,
     unit_circle_factor,
     validate_conjugate_pair_structure,
 )
@@ -22,6 +29,36 @@ from util import random_valid_quartic
 
 def quartic(text: str) -> CharPolyQuartic:
     return CharPolyQuartic(parse_poly(text))
+
+
+PHI = {k: cyclotomic(k) for k in ALLOWED_UNITY_ORDERS}
+
+# Building blocks of validated quartics, as (kind, polynomial, per-root
+# unity orders): every real root must have even multiplicity, so Phi_1 and
+# Phi_2 enter squared.
+CIRCLE_QUADRATICS = [("circle", PHI[1].square(), (1, 1)), ("circle", PHI[2].square(), (2, 2))] + [
+    ("circle", PHI[k], (k, k)) for k in (3, 4, 6)
+]
+CIRCLE_QUARTICS = [("circle", PHI[k], (k,) * 4) for k in (5, 8, 10, 12)]
+complex_off_circle = st.tuples(st.integers(-6, 6), st.integers(2, 12)).filter(
+    lambda bc: bc[0] ** 2 < 4 * bc[1]
+).map(lambda bc: ("off", IntPolynomial((bc[1], bc[0], 1)), ()))
+real_off_circle_square = st.sampled_from([a for a in range(-9, 10) if abs(a) >= 2]).map(
+    lambda a: ("off", IntPolynomial((-a, 1)).square(), ())
+)
+quadratic_block = st.one_of(
+    st.sampled_from(CIRCLE_QUADRATICS),
+    complex_off_circle,
+    real_off_circle_square,
+    st.just(("zero", IntPolynomial((0, 0, 1)), ())),
+)
+
+
+def product(polys) -> IntPolynomial:
+    out = ONE
+    for p in polys:
+        out = out * p
+    return out
 
 
 class TestStructureValidation:
@@ -47,33 +84,55 @@ class TestStructureValidation:
 
 class TestUnitCircleFactor:
     def test_all_roots_on_circle(self):
-        assert unit_circle_factor(quartic("1,-2,3,-2,1")) == parse_poly("1,-1,1") * parse_poly("1,-1,1")
+        circle, _, cofactor = unit_circle_factor(quartic("1,-2,3,-2,1"))
+        assert circle == parse_poly("1,-1,1") * parse_poly("1,-1,1")
+        assert cofactor == ONE
 
     def test_no_roots_on_circle(self):
-        assert unit_circle_factor(quartic("16,-32,24,-8,1")).degree == 0
-        assert unit_circle_factor(quartic("1,1,0,0,1")).degree == 0
+        p = parse_poly("16,-32,24,-8,1")
+        assert unit_circle_factor(CharPolyQuartic(p)) == (ONE, (), p)
+        assert unit_circle_factor(quartic("1,1,0,0,1"))[0] == ONE
 
     def test_mixed(self):
-        assert unit_circle_factor(quartic("4,0,5,0,1")) == parse_poly("1,0,1")
+        assert unit_circle_factor(quartic("4,0,5,0,1")) == (PHI[4], (4, 4), parse_poly("4,0,1"))
 
-    def test_salem_type_straddle_rejected(self):
-        with pytest.raises((InvalidStructureError, InvalidEndomorphismError)):
-            count_roots_by_modulus(quartic("1,-1,-1,-1,1"))
+    @given(st.one_of(
+        st.lists(quadratic_block, min_size=2, max_size=2),
+        st.sampled_from(CIRCLE_QUARTICS).map(lambda block: [block]),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_recovers_constructed_factors(self, blocks):
+        P = CharPolyQuartic(product(p for _, p, _ in blocks))
+        assert validate_conjugate_pair_structure(P)
+        circle = product(p for kind, p, _ in blocks if kind == "circle")
+        orders = tuple(sorted(k for _, _, ks in blocks for k in ks))
+        cofactor = product(p for kind, p, _ in blocks if kind == "off")
+        assert unit_circle_factor(P) == (circle, orders, cofactor)
+
+    def test_salem_type_straddle_rejected(self, capsys):
+        salem = quartic("1,-1,-1,-1,1")
+        with pytest.raises(InvalidStructureError):
+            count_roots_by_modulus(salem)
+        with pytest.raises(InvalidStructureError):
+            classify(salem)
+        with pytest.raises(InvalidStructureError):
+            mahler_measure_interval(salem)
+        assert main(["classify", "--charpoly", "1,-1,-1,-1,1"]) == 2
+        assert "InvalidStructureError" in capsys.readouterr().err
 
 
 class TestRootOfUnityOrders:
     def test_orders(self):
-        assert root_of_unity_order(parse_poly("1,0,1")) == 4
-        assert root_of_unity_order(parse_poly("1,-1,1")) == 6
-        assert root_of_unity_order(parse_poly("1,1,1,1,1")) == 5
-        assert root_of_unity_order(parse_poly("-1,1")) == 1
+        assert unit_circle_factor(CharPolyQuartic(PHI[4] * PHI[6]))[1] == (4, 4, 6, 6)
+        assert unit_circle_factor(CharPolyQuartic(PHI[5]))[1] == (5, 5, 5, 5)
+        assert unit_circle_factor(CharPolyQuartic(PHI[1].square() * PHI[3]))[1] == (1, 1, 3, 3)
 
     def test_non_cyclotomic(self):
-        assert root_of_unity_order(parse_poly("-1,-1,1")) is None
+        golden_sq = parse_poly("-1,-1,1").square()
+        assert unit_circle_factor(CharPolyQuartic(golden_sq)) == (ONE, (), golden_sq)
 
     def test_multiplicities(self):
-        sq = parse_poly("1,-1,1") * parse_poly("1,-1,1")
-        assert cyclotomic_orders_with_multiplicity(sq) == [6, 6, 6, 6]
+        assert unit_circle_factor(CharPolyQuartic(PHI[6].square()))[1] == (6, 6, 6, 6)
 
 
 class TestSchurCohn:
@@ -146,19 +205,39 @@ class TestCensus:
             P = random_valid_quartic(rng)
             if square_free_part(P.poly).degree < P.poly.degree:
                 continue  # repeated roots split numerically; skip
-            mods = np.abs(np.roots(list(reversed(P.poly.coeffs))))
-            rest = mods[mods > 1e-9]
-            expect = (
-                P.poly.trailing_zero_count(),
-                int(np.sum(rest < 1 - 1e-7)),
-                int(np.sum(np.abs(rest - 1) <= 1e-7)),
-                int(np.sum(rest > 1 + 1e-7)),
-            )
-            if sum(expect) != 4:
-                continue  # numerically ambiguous; skip
+            expect = numpy_census(P)
+            if expect is None:
+                continue
             c = count_roots_by_modulus(P)
             assert (c.n_zero, c.n_less, c.n_on, c.n_more) == expect, P.poly
             checked += 1
+        # cyclotomic x off-circle products with distinct roots: an oracle for
+        # n_on that does not strip cyclotomics
+        for _ in range(60):
+            if rng.random() < 0.25:
+                P = CharPolyQuartic(PHI[rng.choice((5, 8, 10, 12))])
+            else:
+                k = rng.choice((3, 4, 6))
+                off_circle = [IntPolynomial((c, b, 1))
+                              for b in range(-4, 5) for c in range(2, 6) if b * b < 4 * c]
+                rest = rng.choice([PHI[j] for j in (3, 4, 6) if j != k] + off_circle)
+                P = CharPolyQuartic(PHI[k] * rest)
+            c = count_roots_by_modulus(P)
+            assert (c.n_zero, c.n_less, c.n_on, c.n_more) == numpy_census(P), P.poly
+
+
+def numpy_census(P: CharPolyQuartic):
+    """(n_zero, n_less, n_on, n_more) from numpy's roots, or None when a
+    modulus sits too near 1 to call."""
+    mods = np.abs(np.roots(list(reversed(P.poly.coeffs))))
+    rest = mods[mods > 1e-9]
+    expect = (
+        P.poly.trailing_zero_count(),
+        int(np.sum(rest < 1 - 1e-7)),
+        int(np.sum(np.abs(rest - 1) <= 1e-7)),
+        int(np.sum(rest > 1 + 1e-7)),
+    )
+    return expect if sum(expect) == 4 else None
 
 
 class TestMahlerMeasure:
@@ -171,7 +250,7 @@ class TestMahlerMeasure:
         for _ in range(60):
             P = random_valid_quartic(rng)
             p = P.poly
-            if p.trailing_zero_count() or unit_circle_factor(P).degree:
+            if p.trailing_zero_count() or unit_circle_factor(P)[0].degree:
                 continue
             m = float(np.prod(np.maximum(1.0, np.abs(np.roots(list(reversed(p.coeffs)))))))
             iv = mahler_measure_interval(P, Fraction(1, 2 ** 16))

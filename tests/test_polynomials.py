@@ -1,18 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfix.intervals import RationalInterval, sqrt_interval
+from torusfix.intervals import RationalInterval, is_square_rational, sqrt_interval
 from torusfix.polynomials import (
     IntPolynomial,
     _square_free_kernel,
     cauchy_bound,
     count_real_roots,
     cyclotomic,
-    euler_phi,
-    is_square_rational,
+    divmod_monic,
     parse_poly,
     poly_gcd,
     power_mod,
@@ -120,12 +120,13 @@ class TestCyclotomic:
 
     def test_phi_matches_degree(self):
         for k in range(1, 13):
-            assert euler_phi(k) == cyclotomic(k).degree
+            totient = sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+            assert totient == cyclotomic(k).degree
 
     def test_divides_power_minus_one(self):
         for k in range(1, 13):
             tn_minus_1 = IntPolynomial([-1] + [0] * (k - 1) + [1])
-            assert cyclotomic(k).divides(tn_minus_1)
+            assert divmod_monic(tn_minus_1, cyclotomic(k))[1].is_zero()
 
 
 class TestRealRoots:
@@ -239,6 +240,14 @@ class TestMisc:
     def test_is_square_rational(self):
         assert is_square_rational(Fraction(9, 4)) == Fraction(3, 2)
         assert is_square_rational(Fraction(2)) is None
+
+    @given(st.lists(st.integers(-50, 50), max_size=9), st.lists(st.integers(-9, 9), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_divmod_monic(self, p_coeffs, m_low):
+        p, m = IntPolynomial(p_coeffs), IntPolynomial(m_low + [1])
+        quo, rem = divmod_monic(p, m)
+        assert quo * m + rem == p
+        assert rem.degree < m.degree
 
     def test_power_mod_matches_remainder(self):
         p = poly(1, -1, 1, 0, 1)

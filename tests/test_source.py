@@ -33,3 +33,35 @@ def test_library_has_no_unbounded_count():
             and isinstance(node.value, ast.Name) and node.value.id in modules)
     ]
     assert not offenders, offenders
+
+
+def test_library_has_no_unreferenced_names():
+    # a module-level function, class, method or constant that no file in
+    # src/ or tests/ uses is dead code; names are matched by identifier
+    defined = {}
+    for name, node in _library_nodes():
+        if not isinstance(node, ast.Module):
+            continue
+        for stmt in node.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            for item in [stmt, *members]:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    defined[item.name] = f"{name}:{item.lineno}"
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+            if isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = f"{name}:{target.lineno}"
+    test_trees = [ast.parse(path.read_text(), filename=str(path))
+                  for path in sorted(Path(__file__).parent.glob("*.py"))]
+    nodes = [node for _, node in _library_nodes()]
+    nodes += [node for tree in test_trees for node in ast.walk(tree)]
+    used = {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store)}
+    offenders = sorted(
+        f"{where} {ident}" for ident, where in defined.items()
+        if ident not in used and ident not in torusfix.__all__
+        and not (ident.startswith("__") and ident.endswith("__"))
+    )
+    assert not offenders, offenders
