@@ -270,9 +270,11 @@ class CMFieldDesc:
     """Quartic CM field Q[t]/(g): g monic irreducible, totally imaginary,
     with a real quadratic subfield Q(sqrt(d)).
 
-    ``d`` is derived during validation; ``e`` optionally records the
-    square-free positive integer with lambda = a + b sqrt(-e) when a
-    degree-2 decomposition of an eigenvalue is supplied by the caller."""
+    ``d`` is derived during validation, from the integer roots of the
+    resolvent cubic of g, which also decide irreducibility; ``e``
+    optionally records the square-free positive integer with
+    lambda = a + b sqrt(-e) when a degree-2 decomposition of an eigenvalue
+    is supplied by the caller."""
 
     defining_poly: IntPolynomial
     d: Optional[int] = None
@@ -282,11 +284,13 @@ class CMFieldDesc:
         g = self.defining_poly
         if g.degree != 4 or not g.is_monic():
             raise ValueError("monic integer quartic required")
-        if not _is_irreducible_quartic(g):
+        # the monic resolvent's rational roots are integers
+        us = [int(u) for u in rational_roots(_resolvent_cubic(g))]
+        if not _is_irreducible_quartic(g, us):
             raise ValueError(f"{g} is reducible over Q")
         if count_real_roots(square_free_part(g)) != 0:
             raise ValueError(f"{g} is not totally imaginary")
-        d = _real_quadratic_subfield_radicand(g)
+        d = _real_quadratic_subfield_radicand(g, us)
         if d is None:
             raise ValueError(f"Q[t]/({g}) has no real quadratic subfield: not CM")
         if self.d is None:
@@ -295,14 +299,15 @@ class CMFieldDesc:
             raise ValueError(f"declared subfield radicand {self.d}, computed {d}")
 
 
-def _is_irreducible_quartic(g: IntPolynomial) -> bool:
+def _is_irreducible_quartic(g: IntPolynomial, us: list[int]) -> bool:
     """Without rational roots, g is reducible iff (Gauss's lemma) it is
-    (t^2 + pt + q)(t^2 + rt + s) over Z, and then q + s is an integer root u
-    of the monic resolvent cubic, with q s = c0, p + r = c3, p r = c2 - u."""
+    (t^2 + pt + q)(t^2 + rt + s) over Z, and then q + s is one of the
+    integer roots `us` of the monic resolvent cubic, with q s = c0,
+    p + r = c3, p r = c2 - u."""
     if rational_roots(g):
         return False
     c0, c1, c2, c3, _ = g.coeffs
-    for u in map(int, rational_roots(_resolvent_cubic(g))):
+    for u in us:
         qs, pr = _integer_pair(u, c0), _integer_pair(c3, c2 - u)
         if qs is None or pr is None:
             continue
@@ -322,51 +327,22 @@ def _integer_pair(total: int, prod: int) -> Optional[tuple[int, int]]:
     return (total + root) // 2, (total - root) // 2
 
 
-def _depress_quartic(g: IntPolynomial) -> tuple[Fraction, Fraction, Fraction]:
-    """(p, q, r) with g(x - c3/4) = x^4 + p x^2 + q x + r."""
-    c0, c1, c2, c3, _ = (Fraction(c) for c in g.coeffs)
-    sh = -c3 / 4
-    p = c2 + 6 * sh ** 2 + 3 * c3 * sh
-    q = c1 + 2 * c2 * sh + 3 * c3 * sh ** 2 + 4 * sh ** 3
-    r = c0 + c1 * sh + c2 * sh ** 2 + c3 * sh ** 3 + sh ** 4
-    return p, q, r
+def _real_quadratic_subfield_radicand(g: IntPolynomial, us: list[int]) -> Optional[int]:
+    """For a totally imaginary irreducible quartic with integer resolvent
+    roots `us`: the square-free d > 1 with Q(sqrt(d)) the real quadratic
+    subfield, or None when the field is not CM.
 
-
-def _real_quadratic_subfield_radicand(g: IntPolynomial) -> Optional[int]:
-    """For a totally imaginary irreducible quartic: the square-free d > 1
-    with Q(sqrt(d)) the real quadratic subfield, or None when the field is
-    not CM.
-
-    The unique factorization over R pairs each root with its conjugate:
-    g(x - c3/4) = (x^2 + kx + m)(x^2 - kx + n) with k^2 a root of the
-    resolvent cubic K^3 + 2pK^2 + (p^2-4r)K - q^2.  The subfield is
-    rational-quadratic exactly when that root k^2 is rational.
-    """
-    p, q, r = _depress_quartic(g)
-    cubic = _clear_denominators([
-        -q * q, p * p - 4 * r, 2 * p, Fraction(1),
-    ])
-    for k0 in rational_roots(cubic):
-        if k0 > 0:
-            rad = k0.numerator * k0.denominator
-            d = _square_free_kernel(rad)
-            if d == 1:
-                # k rational would make g reducible over Q
-                continue
-            return d
-        if k0 == 0 and q == 0:
-            disc = p * p - 4 * r
-            if disc > 0:
-                rad = disc.numerator * disc.denominator
-                d = _square_free_kernel(rad)
-                if d > 1:
-                    return d
+    Each u = r1 r2 + r3 r4 gives (r1 + r2 - r3 - r4)^2 = c3^2 - 4 c2 + 4u and
+    (r1 r2 - r3 r4)^2 = u^2 - 4 c0: squares of reals for the pairing of each
+    root with its conjugate, of imaginaries (so <= 0) for the others.  The
+    field is CM iff the conjugate pairing's u is rational; then the first,
+    or the second when the first is 0, is positive and not a square."""
+    c0, _, c2, c3, _ = g.coeffs
+    for u in us:
+        disc = c3 * c3 - 4 * c2 + 4 * u or u * u - 4 * c0
+        if disc > 0:
+            return _square_free_kernel(disc)
     return None
-
-
-def _clear_denominators(coeffs: list[Fraction]) -> IntPolynomial:
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return IntPolynomial([int(c * den) for c in coeffs])
 
 
 @dataclass(frozen=True)

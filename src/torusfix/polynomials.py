@@ -4,7 +4,9 @@ Coefficients are stored ascending, so ``IntPolynomial((1, -1, 1))`` is
 t^2 - t + 1.  The degrees occurring in this package never exceed ~20, so
 the dense representation is deliberate.  Serialization format (shared by
 the CLI and test fixtures): comma-separated ascending coefficients,
-e.g. ``"1,-1,1"``.
+e.g. ``"1,-1,1"``.  Division, gcds, Sturm chains and square-free parts
+are integer computations (pseudo-remainders); Fractions enter only as the
+endpoints of real-root brackets.
 """
 
 from __future__ import annotations
@@ -122,35 +124,13 @@ class IntPolynomial:
 
     # -- division --------------------------------------------------------
 
-    def divmod_rational(self, other: "IntPolynomial"):
-        """Quotient and remainder over the rationals, as Fraction lists."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in other.coeffs]
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return [], rem
-        quo = [Fraction(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] / div[-1]
-            quo[k] = c
-            if c:
-                for j, d in enumerate(div):
-                    rem[k + j] -= c * d
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return quo, rem
-
     def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact division; raises ValueError if the remainder is non-zero
-        or the quotient is not integral."""
-        quo, rem = self.divmod_rational(other)
-        if rem:
+        """Exact division in Z[t]; raises ValueError if other does not
+        divide self there."""
+        quo, rem = poly_divmod(self, other)
+        if not rem.is_zero():
             raise ValueError(f"{other} does not divide {self}")
-        if any(q.denominator != 1 for q in quo):
-            raise ValueError(f"quotient of {self} by {other} is not integral")
-        return IntPolynomial([int(q) for q in quo])
+        return quo
 
 
 ONE = IntPolynomial((1,))
@@ -176,31 +156,48 @@ def parse_poly(text: str) -> IntPolynomial:
 # -- core operations --------------------------------------------------------
 
 
+def poly_divmod(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Quotient and remainder of p by a non-zero d in Z[t]; a quotient step
+    not exact in Z raises ValueError.  A monic d never raises, nor (Gauss's
+    lemma) does a primitive d dividing p over Q."""
+    lead, n, low = d.leading, d.degree, d.coeffs[:-1]
+    cs = list(p.coeffs)
+    quo = [0] * max(len(cs) - n, 0)
+    while len(cs) > n:
+        c = cs.pop()
+        if c:
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    raise ValueError(f"{d} does not divide {p} in Z[t]")
+            base = len(cs) - n
+            quo[base] = c
+            for j, m in enumerate(low):
+                cs[base + j] -= c * m
+    return IntPolynomial(quo), IntPolynomial(cs)
+
+
+def _primitive_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The remainder of a by b over Q, scaled by a positive rational to a
+    primitive integer polynomial: the exact Z[t] remainder of
+    |lc b|^(deg a - deg b + 1) a by b, over its positive content."""
+    scale = abs(b.leading) ** max(a.degree - b.degree + 1, 0)
+    _, rem = poly_divmod(IntPolynomial([c * scale for c in a.coeffs]), b)
+    if rem.is_zero():
+        return rem
+    g = abs(rem.content())
+    return IntPolynomial([c // g for c in rem.coeffs])
+
+
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Q, positive leading coefficient."""
+    """Primitive gcd over Q, positive leading coefficient, by the
+    primitive integer remainder sequence."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials")
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-
-    def frac_rem(x, y):
-        x = list(x)
-        while len(x) >= len(y):
-            c = x[-1] / y[-1]
-            k = len(x) - len(y)
-            for j, d in enumerate(y):
-                x[k + j] -= c * d
-            while x and x[-1] == 0:
-                x.pop()
-            if not x:
-                break
-        return x
-
-    while b:
-        a, b = b, frac_rem(a, b)
-    # clear denominators, primitivize
-    den = reduce(math.lcm, (c.denominator for c in a), 1)
-    return IntPolynomial([int(c * den) for c in a]).primitive()
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, _primitive_remainder(a, b)
+    return a.primitive()
 
 
 _CYCLOTOMIC_TABLE = {
@@ -253,10 +250,7 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return ONE
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive()
-    return p.divexact(g).primitive()
+    return p.divexact(poly_gcd(p, p.derivative())).primitive()
 
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -269,16 +263,13 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     if p.is_zero():
         raise ValueError("zero polynomial")
     cur = p.primitive()
-    if cur.degree <= 0:
-        return []
     levels: list[IntPolynomial] = []
     while cur.degree > 0:
         s = square_free_part(cur)
         levels.append(s)
         cur = cur.divexact(s).primitive()
     out: list[tuple[IntPolynomial, int]] = []
-    for i, s in enumerate(levels):
-        nxt = levels[i + 1] if i + 1 < len(levels) else ONE
+    for i, (s, nxt) in enumerate(zip(levels, levels[1:] + [ONE])):
         f = s.divexact(nxt).primitive()
         if f.degree > 0:
             out.append((f, i + 1))
@@ -289,13 +280,10 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, rem = chain[-2].divmod_rational(chain[-1])
-        if not rem:
+        rem = _primitive_remainder(chain[-2], chain[-1])
+        if rem.is_zero():
             break
-        den = reduce(math.lcm, (c.denominator for c in rem), 1)
-        raw = [int(-c * den) for c in rem]
-        g = reduce(math.gcd, (abs(c) for c in raw))
-        chain.append(IntPolynomial([c // g for c in raw]))
+        chain.append(-rem)
     if chain[-1].is_zero():
         chain.pop()
     return chain
@@ -337,8 +325,6 @@ def real_root_isolation(p: IntPolynomial) -> list[RationalInterval]:
     if p.is_zero():
         raise ValueError("zero polynomial")
     w = square_free_part(p)
-    if w.degree <= 0:
-        return []
     rationals = rational_roots(w)
     out: list[RationalInterval] = [RationalInterval.point(r) for r in rationals]
     for r in rationals:
@@ -359,9 +345,7 @@ def real_root_isolation(p: IntPolynomial) -> list[RationalInterval]:
                     iv = refine_root(w, iv, iv.width / 4)
                 out.append(iv)
                 continue
-            mid = (lo + hi) / 2
-            while w(mid) == 0:  # irrational roots: perturb off the midpoint
-                mid = (lo + mid) / 2
+            mid = (lo + hi) / 2  # w has no rational root, so w(mid) != 0
             stack.append((lo, mid))
             stack.append((mid, hi))
     out.sort(key=lambda iv: iv.lo)
@@ -460,22 +444,6 @@ def _square_free_kernel(n: int) -> int:
     return out if root * root == m else out * m
 
 
-def divmod_monic(p: IntPolynomial, modulus: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Quotient and remainder of p by a monic modulus, in integers."""
-    d = modulus.degree
-    low = modulus.coeffs[:-1]
-    cs = list(p.coeffs)
-    quo = [0] * max(len(cs) - d, 0)
-    while len(cs) > d:
-        c = cs.pop()
-        if c:
-            base = len(cs) - d
-            quo[base] = c
-            for j, m in enumerate(low):
-                cs[base + j] -= c * m
-    return IntPolynomial(quo), IntPolynomial(cs)
-
-
 def power_mod(base: IntPolynomial, n: int, modulus: IntPolynomial) -> IntPolynomial:
     """base^n mod modulus for monic integer modulus (exact reduction).
 
@@ -488,11 +456,11 @@ def power_mod(base: IntPolynomial, n: int, modulus: IntPolynomial) -> IntPolynom
         raise ValueError(f"exponent must be non-negative, got {n}")
     if n == 0:
         return ONE
-    base = divmod_monic(base, modulus)[1]
+    base = poly_divmod(base, modulus)[1]
     result = base
     for bit in bin(n)[3:]:
-        result = divmod_monic(result.square(), modulus)[1]
+        result = poly_divmod(result.square(), modulus)[1]
         if bit == "1":
             product = IntPolynomial((0, *result.coeffs)) if base == T else result * base
-            result = divmod_monic(product, modulus)[1]
+            result = poly_divmod(product, modulus)[1]
     return result

@@ -14,20 +14,17 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import InvalidEndomorphismError, InvalidStructureError
-from .intervals import RationalInterval, is_square_rational, sqrt_interval
+from .intervals import RationalInterval, sqrt_interval
 from .polynomials import (
     ALLOWED_UNITY_ORDERS,
     IntPolynomial,
     ONE,
-    cauchy_bound,
     count_real_roots,
     cyclotomic,
-    divmod_monic,
+    poly_divmod,
     real_root_isolation,
     refine_root,
-    square_free_part,
     squarefree_decomposition,
-    sturm_count,
 )
 
 DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 2 ** 20)
@@ -102,7 +99,7 @@ def unit_circle_factor(
     for k in ALLOWED_UNITY_ORDERS:
         phi = cyclotomic(k)
         while cofactor.degree >= phi.degree:
-            quo, rem = divmod_monic(cofactor, phi)
+            quo, rem = poly_divmod(cofactor, phi)
             if not rem.is_zero():
                 break
             cofactor = quo
@@ -149,61 +146,38 @@ def _resolvent_cubic(w: IntPolynomial) -> IntPolynomial:
     ))
 
 
-def _max_real_root_exceeds(r: IntPolynomial, q: Fraction) -> int:
-    """Sign of (max real root of r) - q for a cubic r: +1, 0 or -1."""
-    rs = square_free_part(r)
-    if rs(q) == 0:
-        quot = rs.divexact(IntPolynomial((-q.numerator, q.denominator)))
-        above = 0
-        if quot.degree > 0:
-            above = sturm_count(quot, RationalInterval(q, cauchy_bound(rs) + 1))
-        return 1 if above > 0 else 0
-    b = cauchy_bound(rs)
-    hi = max(b, abs(q) + 1)
-    above = sturm_count(rs, RationalInterval(q, hi))
-    return 1 if above > 0 else -1
-
-
 def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
     """A square-free monic integer quartic with no real roots and no
     unit-circle roots: two conjugate pairs with moduli m1 <= m2.
 
     m1^2 + m2^2 is the largest real root u* of the resolvent cubic (the
     conjugate pairing dominates every other pairing's product sum), and
-    m1^2 * m2^2 = c0.
+    m1^2 * m2^2 = c0.  One isolating interval of u* answers both questions
+    below, and the enclosures start from it unrefined.
     """
     c0 = Fraction(f.coeffs[0])
     res = _resolvent_cubic(f)
+    u_isolated = real_root_isolation(res)[-1]
 
-    # side determination: V(y) = y^2 - u* y + c0 has roots m1^2, m2^2;
-    # V(1) = 1 - u* + c0 and the sum u* locate them w.r.t. 1.
-    cmp_v1 = _max_real_root_exceeds(res, 1 + c0)  # sign of u* - (1+c0) = -sign V(1)
-    if cmp_v1 == 0:
+    # side determination: V(y) = y^2 - u* y + c0 has roots m1^2, m2^2, and
+    # V(1) = 1 + c0 - u*.  V(1) < 0 puts 1 between them; V(1) > 0 puts both
+    # on one side of 1, and m1^2 m2^2 = c0 >= 1 makes that side outside.
+    u_iv = u_isolated
+    while u_iv.lo < 1 + c0 < u_iv.hi:
+        u_iv = refine_root(res, u_iv, u_iv.width / 4)
+    if u_iv.lo == u_iv.hi == 1 + c0:
         raise InvalidEndomorphismError("unit-circle root escaped structural removal")
-    if cmp_v1 > 0:
-        sides = (False, True)  # m1 inside, m2 outside
-    else:
-        cmp_two = _max_real_root_exceeds(res, Fraction(2))
-        if cmp_two > 0:
-            sides = (True, True)
-        else:
-            sides = (False, False)  # impossible for genuine torus inputs
-    groups = ((2 * mult, sides[0]), (2 * mult, sides[1]))
+    groups = ((2 * mult, u_iv.lo < 1 + c0), (2 * mult, True))
 
     # detect m1 = m2 exactly: u* = 2 sqrt(c0), i.e. u*^2 = 4 c0
-    equal_moduli = False
-    u_eq = is_square_rational(4 * c0)
-    if u_eq is not None:
-        equal_moduli = res(u_eq) == 0 and _max_real_root_exceeds(res, u_eq) == 0
+    if u_isolated.lo == u_isolated.hi:
+        equal_moduli = u_isolated.lo ** 2 == 4 * c0
     else:
-        # res(2 sqrt(c0)) = 0 with sqrt(c0) irrational forces both the even
-        # and the odd part of res to vanish at 4 c0, whence
-        # res = (y^2 - 4 c0)(y - y_rest); then u* = 2 sqrt(c0) iff the
-        # leftover root y_rest stays below it.
-        r0, r1, r2, _ = (Fraction(c) for c in res.coeffs)
-        if r0 + r2 * 4 * c0 == 0 and r1 + 4 * c0 == 0:
-            y_rest = -r2
-            equal_moduli = y_rest <= 0 or y_rest * y_rest < 4 * c0
+        # u* irrational: res(2 sqrt(c0)) = 0 forces both the even and the
+        # odd part of res to vanish at 4 c0, whence res = (y^2 - 4 c0)(y - y')
+        # with y' rational, so u* > 0 is 2 sqrt(c0)
+        r0, r1, r2, _ = res.coeffs
+        equal_moduli = r0 + r2 * 4 * c0 == 0 and r1 + 4 * c0 == 0
 
     if equal_moduli:
 
@@ -212,8 +186,6 @@ def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
             return sqrt_interval(RationalInterval.point(c0), width)
 
         return _OffCircleFactor(groups, lambda: [enclosure_eq, enclosure_eq])
-
-    u_isolated = real_root_isolation(res)[-1]
 
     def enclosures() -> list[Enclosure]:
         u_iv = u_isolated
@@ -281,29 +253,17 @@ def _off_circle_factors(w: IntPolynomial) -> list[_OffCircleFactor]:
     structure of a validated quartic."""
     factors: list[_OffCircleFactor] = []
     for f, mult in squarefree_decomposition(w):
-        n_real = count_real_roots(f)
-        if n_real:
-            if mult % 2 == 1:
-                raise InvalidStructureError(
-                    "real root with odd multiplicity off the circle"
-                )
+        # validation makes real multiplicities even: a factor with a real
+        # root has only real roots; the others have one or two complex pairs
+        if count_real_roots(f):
             factors.append(_real_root_factor(f, mult))
-        complex_deg = f.degree - n_real
-        if complex_deg == 0:
-            continue
-        if n_real:
-            # a square-free even-multiplicity factor of a quartic has
-            # degree <= 2, so it cannot mix real roots and complex pairs
-            raise InvalidStructureError("mixed real/complex square-free factor")
-        if complex_deg == 2:
+        elif f.degree == 2:
             c0 = Fraction(f.coeffs[0], f.coeffs[2])
             factors.append(_OffCircleFactor(
                 ((2 * mult, c0 > 1),), lambda _e=_point(c0): [_e]
             ))
-        elif complex_deg == 4:
-            factors.append(_two_pair_factor(f, mult))
         else:
-            raise InvalidStructureError("odd number of non-real roots")
+            factors.append(_two_pair_factor(f, mult))
     return factors
 
 
@@ -386,9 +346,12 @@ def count_roots_by_modulus(
 ) -> EigenvalueClassification:
     """Exact modulus census of the quartic's four roots.
 
-    Raises InvalidStructureError if P fails conjugate-pair validation;
-    every unit-circle root of a validated quartic is a root of unity.
+    Raises ValueError for a width <= 0 and InvalidStructureError if P fails
+    conjugate-pair validation; every unit-circle root of a validated
+    quartic is a root of unity.
     """
+    if enclosure_width <= 0:
+        raise ValueError("enclosure width must be positive")
     _require_valid_structure(P)
     return _analyze(P).census(enclosure_width)
 

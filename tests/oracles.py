@@ -115,6 +115,37 @@ def square_free_kernel(n: int) -> int:
     return out * n
 
 
+def cm_real_subfield_radicand(coeffs):
+    """For a totally imaginary irreducible monic quartic: the square-free
+    d > 1 with Q(sqrt(d)) its real quadratic subfield, or None when the
+    field is not CM.
+
+    With g(x - c3/4) = x^4 + p x^2 + q x + r, the factorization over R
+    pairing each root with its conjugate is (x^2 + kx + m)(x^2 - kx + n),
+    where k^2 is a root of K^3 + 2p K^2 + (p^2 - 4r) K - q^2; the subfield
+    is rational-quadratic exactly when that k^2 is rational.
+    """
+    c0, c1, c2, c3, _ = (Fraction(c) for c in coeffs)
+    sh = -c3 / 4
+    p = c2 + 6 * sh ** 2 + 3 * c3 * sh
+    q = c1 + 2 * c2 * sh + 3 * c3 * sh ** 2 + 4 * sh ** 3
+    r = c0 + c1 * sh + c2 * sh ** 2 + c3 * sh ** 3 + sh ** 4
+    cubic = [-q * q, p * p - 4 * r, 2 * p, Fraction(1)]
+    den = math.lcm(*(c.denominator for c in cubic))
+    for k0 in rational_roots([int(c * den) for c in cubic]):
+        if k0 > 0:
+            d = square_free_kernel(k0.numerator * k0.denominator)
+            if d > 1:  # k rational would make g reducible over Q
+                return d
+        if k0 == 0 and q == 0:
+            disc = p * p - 4 * r
+            if disc > 0:
+                d = square_free_kernel(disc.numerator * disc.denominator)
+                if d > 1:
+                    return d
+    return None
+
+
 # -- exact polynomial division -------------------------------------------------
 
 
@@ -147,6 +178,57 @@ def off_circle_part(coeffs) -> tuple[list[int], int]:
                 break
             p, n_on = quo, n_on + len(phi) - 1
     return p, n_on
+
+
+# -- Euclidean remainder sequences over Q -------------------------------------
+
+
+def fraction_remainder(a, b) -> list[Fraction]:
+    """The remainder of a by a non-zero b over Q, trimmed."""
+    rem = [Fraction(c) for c in _trim(a)]
+    div = [Fraction(c) for c in _trim(b)]
+    while len(rem) >= len(div):
+        c = rem[-1] / div[-1]
+        k = len(rem) - len(div)
+        for j, d in enumerate(div):
+            rem[k + j] -= c * d
+        rem = _trim(rem)
+    return rem
+
+
+def remainder_sequence(a, b, sign: int = 1) -> list[list[Fraction]]:
+    """[a, b, r_2, r_3, ...] with r_{k+1} = sign * (r_{k-1} mod r_k) over Q,
+    up to the last non-zero term; sign = -1 gives the Sturm sequence."""
+    seq = [[Fraction(c) for c in _trim(a)], [Fraction(c) for c in _trim(b)]]
+    while seq[-1]:
+        seq.append([sign * c for c in fraction_remainder(seq[-2], seq[-1])])
+    return seq[:-1]
+
+
+def primitive_integer(coeffs) -> tuple[int, ...]:
+    """The rational polynomial times the positive rational that makes it a
+    primitive integer polynomial."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def derivative(coeffs) -> list[int]:
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def real_root_count(coeffs) -> int:
+    """Distinct real roots of a non-constant integer polynomial: the sign
+    variations of its Sturm sequence at -infinity minus those at +infinity."""
+    seq = remainder_sequence(coeffs, derivative(_trim(coeffs)), sign=-1)
+
+    def variations(at_plus: bool) -> int:
+        signs = [(1 if q[-1] > 0 else -1) * (1 if at_plus or len(q) % 2 else -1)
+                 for q in seq]
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+    return variations(False) - variations(True)
 
 
 # -- det(I - M^n) ----------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torusfix.algebras import (
     _is_irreducible_quartic,
@@ -39,9 +39,24 @@ from torusfix.errors import (
     ZeroEndomorphismError,
     ZeroNormError,
 )
-from torusfix.polynomials import IntPolynomial, cyclotomic, parse_poly
+from torusfix.polynomials import IntPolynomial, cyclotomic, parse_poly, rational_roots
+from torusfix.unitcircle import _resolvent_cubic
 
-from oracles import SchurCohnDegenerate, divmod_monic, is_irreducible_quartic, schur_cohn_inside
+from oracles import (
+    SchurCohnDegenerate,
+    cm_real_subfield_radicand,
+    divmod_monic,
+    is_irreducible_quartic,
+    real_root_count,
+    schur_cohn_inside,
+)
+
+
+
+def is_irreducible(g: IntPolynomial) -> bool:
+    """The library's irreducibility test, fed the resolvent's integer roots
+    the way CMFieldDesc feeds it."""
+    return _is_irreducible_quartic(g, [int(u) for u in rational_roots(_resolvent_cubic(g))])
 
 
 class TestRealQuadratic:
@@ -156,6 +171,19 @@ class TestQuaternionClassification:
             quat_classify(quaternion_element(3, 2, 0, 0, 0, 0))
 
 
+imaginary_quadratic = st.tuples(st.integers(-8, 8), st.integers(1, 30)).filter(
+    lambda bc: bc[0] ** 2 < 4 * bc[1]
+).map(lambda bc: IntPolynomial((bc[1], bc[0], 1)))
+
+
+def shifted(p: IntPolynomial, k: int) -> IntPolynomial:
+    """p(t + k)."""
+    out = IntPolynomial(())
+    for c in reversed(p.coeffs):
+        out = out * IntPolynomial((k, 1)) + IntPolynomial((c,))
+    return out
+
+
 CM_FIELD = CMFieldDesc(cyclotomic(5))
 
 
@@ -187,14 +215,40 @@ class TestCMField:
     @settings(max_examples=300, deadline=None)
     def test_irreducibility_matches_divisor_search(self, low):
         coeffs = tuple(low) + (1,)
-        assert _is_irreducible_quartic(IntPolynomial(coeffs)) == is_irreducible_quartic(coeffs)
+        assert is_irreducible(IntPolynomial(coeffs)) == is_irreducible_quartic(coeffs)
 
     @given(st.integers(-40, 40), st.integers(-12, 12), st.integers(-40, 40), st.integers(-12, 12))
     @settings(max_examples=300, deadline=None)
     def test_products_of_quadratics_are_reducible(self, q, p, s, r):
         coeffs = (q * s, p * s + q * r, p * r + q + s, p + r, 1)
         assert not is_irreducible_quartic(coeffs)
-        assert not _is_irreducible_quartic(IntPolynomial(coeffs))
+        assert not is_irreducible(IntPolynomial(coeffs))
+
+
+    def test_radicand_when_root_sums_agree(self):
+        # t^4 + 3t^2 + 1: the conjugate pairing has equal root sums, so the
+        # radicand comes from (r1 r2 - r3 r4)^2 = 3^2 - 4
+        assert CMFieldDesc(parse_poly("1,0,3,0,1")).d == 5
+        assert cm_real_subfield_radicand((1, 0, 3, 0, 1)) == 5
+
+    @given(st.one_of(
+        st.lists(st.integers(-30, 30), min_size=4, max_size=4).map(lambda low: (*low, 1)),
+        st.tuples(st.integers(-30, 60), st.integers(-30, 40)).map(lambda ba: (ba[0], 0, ba[1], 0, 1)),
+        st.tuples(st.integers(-30, 60), st.integers(-30, 40), st.integers(-3, 3)).map(
+            lambda bak: shifted(IntPolynomial((bak[0], 0, bak[1], 0, 1)), bak[2]).coeffs),
+        imaginary_quadratic.flatmap(lambda f: imaginary_quadratic.map(lambda h: (f * h).coeffs)),
+    ))
+    @example((1, 0, 3, 0, 1))
+    @settings(max_examples=400, deadline=None)
+    def test_radicand_matches_depressed_quartic_rule(self, coeffs):
+        try:
+            d = CMFieldDesc(IntPolynomial(coeffs)).d
+        except ValueError:
+            d = None
+        expected = None
+        if is_irreducible_quartic(coeffs) and real_root_count(coeffs) == 0:
+            expected = cm_real_subfield_radicand(coeffs)
+        assert d == expected
 
 
 class TestCMElements:

@@ -192,6 +192,17 @@ class TestCensus:
         for iv in c.outside_moduli:
             assert iv.lo ** 2 <= 75 <= iv.hi ** 2
 
+    @pytest.mark.parametrize("text, width", [
+        ("3,1,5,2,1", Fraction(0)),
+        ("3,1,5,2,1", Fraction(-1, 4)),
+        ("1,-6,11,-6,1", Fraction(0)),  # (t^2 - 3t + 1)^2
+        ("2,0,0,0,1", Fraction(0)),
+    ])
+    def test_non_positive_width_rejected(self, text, width):
+        # no enclosure reaches a width <= 0: the refinement would never end
+        with pytest.raises(ValueError, match="width must be positive"):
+            count_roots_by_modulus(quartic(text), width)
+
     def test_census_sums_to_four_randomized(self):
         rng = random.Random(7)
         for _ in range(150):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torusfix.intervals import RationalInterval, is_square_rational, sqrt_interval
 from torusfix.polynomials import (
@@ -12,8 +12,8 @@ from torusfix.polynomials import (
     cauchy_bound,
     count_real_roots,
     cyclotomic,
-    divmod_monic,
     parse_poly,
+    poly_divmod,
     poly_gcd,
     power_mod,
     rational_roots,
@@ -22,9 +22,11 @@ from torusfix.polynomials import (
     serialize_poly,
     square_free_part,
     squarefree_decomposition,
+    sturm_chain,
     sturm_count,
 )
 
+from oracles import derivative, primitive_integer, remainder_sequence
 from oracles import rational_roots as rational_root_theorem
 from oracles import resultant as sylvester_resultant
 from oracles import square_free_kernel
@@ -60,6 +62,14 @@ class TestArithmetic:
         assert p.divexact(poly(-1, 1)) == poly(1, 1)
         with pytest.raises(ValueError):
             p.divexact(poly(1, 1, 1))
+        # a primitive non-monic divisor divides in Z[t]; a non-primitive
+        # one need not, and an inexact quotient step raises
+        q = poly(-2, 0, 1) * poly(-2, 1) * poly(1, 2)
+        assert q.divexact(poly(1, 2)) == poly(-2, 0, 1) * poly(-2, 1)
+        with pytest.raises(ValueError):
+            p.divexact(poly(2, 2))
+        with pytest.raises(ValueError):  # 3t + 1 = 1 (2t + 1) + t over Q
+            poly(1, 3).divexact(poly(1, 2))
 
     @given(small_polys, small_polys)
     @settings(max_examples=100, deadline=None)
@@ -126,7 +136,7 @@ class TestCyclotomic:
     def test_divides_power_minus_one(self):
         for k in range(1, 13):
             tn_minus_1 = IntPolynomial([-1] + [0] * (k - 1) + [1])
-            assert divmod_monic(tn_minus_1, cyclotomic(k))[1].is_zero()
+            assert poly_divmod(tn_minus_1, cyclotomic(k))[1].is_zero()
 
 
 class TestRealRoots:
@@ -245,7 +255,7 @@ class TestMisc:
     @settings(max_examples=200, deadline=None)
     def test_divmod_monic(self, p_coeffs, m_low):
         p, m = IntPolynomial(p_coeffs), IntPolynomial(m_low + [1])
-        quo, rem = divmod_monic(p, m)
+        quo, rem = poly_divmod(p, m)
         assert quo * m + rem == p
         assert rem.degree < m.degree
 
@@ -255,8 +265,89 @@ class TestMisc:
         naive = T
         for _ in range(36):
             naive = naive * T
-        _, rem = naive.divmod_rational(p)
-        assert tn == IntPolynomial([int(c) for c in rem])
+        _, rem = poly_divmod(naive, p)
+        assert tn == rem
+
+
+@st.composite
+def repeated_factor_polys(draw, max_degree: int = 8):
+    """Products of integer factors of degree 1 or 2, each to a power up to
+    3, with degree <= max_degree and a leading coefficient of absolute value
+    at most 12."""
+    p, budget = IntPolynomial((1,)), 12
+    for _ in range(draw(st.integers(1, 3))):
+        deg, mult = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        if p.degree + deg * mult > max_degree:
+            break
+        lead = draw(st.integers(1, max(l for l in range(1, 13) if l ** mult <= budget)))
+        budget //= lead ** mult
+        low = draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg))
+        f = IntPolynomial(low + [lead * draw(st.sampled_from((1, -1)))])
+        for _ in range(mult):
+            p = p * f
+    return p
+
+
+@st.composite
+def primitive_non_monic(draw):
+    d = IntPolynomial(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+                      + [draw(st.sampled_from([x for x in range(-12, 13) if abs(x) >= 2]))])
+    return IntPolynomial([c // abs(d.content()) for c in d.coeffs])
+
+
+def fraction_gcd(p: IntPolynomial, q: IntPolynomial) -> tuple[int, ...]:
+    """The last remainder of Euclid over Q, primitive with positive leading
+    coefficient."""
+    g = primitive_integer(remainder_sequence(p.coeffs, q.coeffs)[-1])
+    return g if g[-1] > 0 else tuple(-c for c in g)
+
+
+class TestIntegerCore:
+    """The integer remainder sequences against Euclid over Q."""
+
+    @given(repeated_factor_polys())
+    @example(poly(-3, 1, 0, 0, 2))  # 8t^3 + 1 by 4 - t: an odd power of lc b < 0
+    @settings(max_examples=200, deadline=None)
+    def test_sturm_chain_matches_fraction_sequence(self, p):
+        expected = remainder_sequence(p.coeffs, derivative(p.coeffs), sign=-1)
+        chain = sturm_chain(p)
+        assert chain[:2] == [p, p.derivative()]
+        assert [q.coeffs for q in chain[2:]] == [primitive_integer(q) for q in expected[2:]]
+
+    @given(repeated_factor_polys(4), repeated_factor_polys(4), repeated_factor_polys(4))
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_matches_fraction_euclid(self, common, a, b):
+        p, q = common * a, common * b
+        assert poly_gcd(p, q).coeffs == fraction_gcd(p, q)
+        assert poly_gcd(p, p.derivative()).coeffs == fraction_gcd(p, p.derivative())
+
+    @given(small_polys, primitive_non_monic())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_division_by_primitive_non_monic(self, q, d):
+        assert (q * d).divexact(d) == q
+
+    @given(small_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+           st.sampled_from([x for x in range(-12, 13) if x]))
+    @settings(max_examples=300, deadline=None)
+    def test_divmod_by_non_monic(self, p, low, lead):
+        # either q d + r = p with deg r < deg d, or an inexact quotient step
+        d = IntPolynomial(low + [lead])
+        try:
+            quo, rem = poly_divmod(p, d)
+        except ValueError:
+            assert lead not in (1, -1)
+            return
+        assert quo * d + rem == p and rem.degree < d.degree
+
+    @given(small_polys, primitive_non_monic(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_division_by_non_divisor_raises(self, q, d, data):
+        low = data.draw(st.lists(st.integers(-9, 9), min_size=d.degree, max_size=d.degree))
+        r = IntPolynomial(low)
+        if r.is_zero():
+            return
+        with pytest.raises(ValueError):
+            (q * d + r).divexact(d)
 
 
 class TestIntervals:

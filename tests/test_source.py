@@ -65,3 +65,22 @@ def test_library_has_no_unreferenced_names():
         and not (ident.startswith("__") and ident.endswith("__"))
     )
     assert not offenders, offenders
+
+
+def test_polynomial_core_is_integer():
+    # division, gcds, Sturm chains and square-free parts are integer
+    # computations: no Fraction and no true division inside them
+    core = {"poly_divmod", "divexact", "_primitive_remainder", "poly_gcd", "sturm_chain",
+            "square_free_part", "squarefree_decomposition"}
+    found, offenders = set(), []
+    for name, node in _library_nodes():
+        if name != "polynomials.py" or not isinstance(node, ast.FunctionDef) or node.name not in core:
+            continue
+        found.add(node.name)
+        offenders += [
+            f"{node.name}:{inner.lineno}" for inner in ast.walk(node)
+            if (isinstance(inner, ast.Name) and inner.id == "Fraction")
+            or (isinstance(inner, (ast.BinOp, ast.AugAssign)) and isinstance(inner.op, ast.Div))
+        ]
+    assert found == core, sorted(core - found)
+    assert not offenders, offenders
