@@ -35,6 +35,8 @@ class RationalInterval:
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)
 
     def __mul__(self, other: "RationalInterval") -> "RationalInterval":
+        if self.lo >= 0 and other.lo >= 0:
+            return RationalInterval(self.lo * other.lo, self.hi * other.hi)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -57,8 +59,10 @@ class RationalInterval:
     def intpow(self, k: int) -> "RationalInterval":
         if k < 0:
             return self.reciprocal().intpow(-k)
-        out = RationalInterval.point(1)
-        for _ in range(k):
+        if k == 0:
+            return RationalInterval.point(1)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -68,6 +72,8 @@ class RationalInterval:
 
 def sqrt_interval(x: RationalInterval, width: Fraction) -> RationalInterval:
     """Rational enclosure of sqrt over a non-negative interval, of width <= width."""
+    if width <= 0:
+        raise ValueError("enclosure width must be positive")
     if x.lo < 0:
         raise ValueError("negative radicand")
     if x.lo == x.hi:

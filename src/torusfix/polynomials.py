@@ -5,8 +5,11 @@ t^2 - t + 1.  The degrees occurring in this package never exceed ~20, so
 the dense representation is deliberate.  Serialization format (shared by
 the CLI and test fixtures): comma-separated ascending coefficients,
 e.g. ``"1,-1,1"``.  Division, gcds, Sturm chains and square-free parts
-are integer computations (pseudo-remainders); Fractions enter only as the
-endpoints of real-root brackets.
+are integer computations (pseudo-remainders).  So are root isolation and
+refinement: a real-root bracket is kept as integer numerators a, b over one
+shared positive denominator d, signs come from integer Horner on
+d^deg q(a/d), and a bisection step doubles a, b and d and takes a + b as the
+midpoint.  A bracket becomes a pair of Fractions only on output.
 """
 
 from __future__ import annotations
@@ -289,23 +292,37 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
-def _sign_variations(chain: list[IntPolynomial], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _bracket(lo, hi) -> tuple[int, int, int]:
+    """Rational endpoints lo <= hi as integer numerators a, b over one
+    shared positive denominator d."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
+def _sign_at(coeffs: tuple[int, ...], a: int, d: int) -> int:
+    """Sign of q(a/d) for d > 0: integer Horner on d^deg q(a/d)."""
+    out, power = 0, 1
+    for c in reversed(coeffs):
+        out = out * a + c * power
+        power *= d
+    return (out > 0) - (out < 0)
+
+
+def _sign_variations(chain: list[IntPolynomial], a: int, d: int) -> int:
+    """Sign changes of the Sturm chain at a/d, d > 0."""
+    signs = [s for q in chain if (s := _sign_at(q.coeffs, a, d))]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
 def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
     """Distinct real roots of square-free p in (lo, hi]."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p(interval.lo) == 0 or p(interval.hi) == 0:
+    a, b, d = _bracket(interval.lo, interval.hi)
+    if _sign_at(p.coeffs, a, d) == 0 or _sign_at(p.coeffs, b, d) == 0:
         raise ValueError("interval endpoint is a root; divide it out first")
     chain = sturm_chain(p)
-    return _sign_variations(chain, interval.lo) - _sign_variations(chain, interval.hi)
+    return _sign_variations(chain, a, d) - _sign_variations(chain, b, d)
 
 
 def count_real_roots(p: IntPolynomial) -> int:
@@ -316,11 +333,36 @@ def count_real_roots(p: IntPolynomial) -> int:
     return sturm_count(p, RationalInterval(-b, b))
 
 
+def _isolating_brackets(chain: list[IntPolynomial], a: int, b: int,
+                        d: int) -> list[tuple[int, int, int]]:
+    """Brackets (a', b', d') around the roots of chain[0] in (a/d, b/d],
+    each holding one root and a sign change, by bisection: a midpoint
+    (a + b) / 2d is a + b over the doubled denominator, and so the same
+    rational as (lo + hi) / 2."""
+    coeffs = chain[0].coeffs
+    out = []
+    stack = [(a, b, d)]
+    while stack:
+        a, b, d = stack.pop()
+        n = _sign_variations(chain, a, d) - _sign_variations(chain, b, d)
+        if n == 0:
+            continue
+        if n == 1 and _sign_at(coeffs, a, d) * _sign_at(coeffs, b, d) < 0:
+            out.append((a, b, d))
+            continue
+        mid = a + b  # chain[0] has no rational root, so it is non-zero here
+        stack.append((2 * a, mid, 2 * d))
+        stack.append((mid, 2 * b, 2 * d))
+    return out
+
+
 def real_root_isolation(p: IntPolynomial) -> list[RationalInterval]:
     """Disjoint intervals each containing exactly one distinct real root of p.
 
     Rational roots are returned as degenerate point intervals; irrational
     roots as (lo, hi] brackets with a sign change of the square-free part.
+    The bisection runs on integer numerators over a shared denominator;
+    the brackets become Fractions only on output.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -330,49 +372,57 @@ def real_root_isolation(p: IntPolynomial) -> list[RationalInterval]:
     for r in rationals:
         w = w.divexact(IntPolynomial((-r.numerator, r.denominator)))
     if w.degree > 0:
-        chain = sturm_chain(w)
         b = cauchy_bound(w)
-        stack = [(-b, b)]
-        while stack:
-            lo, hi = stack.pop()
-            n = _sign_variations(chain, lo) - _sign_variations(chain, hi)
-            if n == 0:
-                continue
-            if n == 1 and w(lo) * w(hi) < 0:
-                iv = RationalInterval(lo, hi)
-                # shrink until no rational root of p sits inside the bracket
-                while any(iv.lo <= r <= iv.hi for r in rationals):
-                    iv = refine_root(w, iv, iv.width / 4)
-                out.append(iv)
-                continue
-            mid = (lo + hi) / 2  # w has no rational root, so w(mid) != 0
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+        for lo, hi, d in _isolating_brackets(sturm_chain(w), *_bracket(-b, b)):
+            iv = RationalInterval(Fraction(lo, d), Fraction(hi, d))
+            # shrink until no rational root of p sits inside the bracket
+            while any(iv.lo <= r <= iv.hi for r in rationals):
+                iv = refine_root(w, iv, iv.width / 4)
+            out.append(iv)
     out.sort(key=lambda iv: iv.lo)
     return out
 
 
+def _bisect(coeffs: tuple[int, ...], a: int, b: int, d: int, s_lo: int,
+            width) -> tuple[int, int, int]:
+    """Halve the bracket (a/d, b/d] of a root of q, where q has sign s_lo
+    at a/d, until it is at most the rational width wide, keeping the half
+    where q changes sign.  Each step doubles a, b and d and takes a + b as
+    the midpoint, the same rational as (lo + hi) / 2.  A midpoint that is
+    the root comes back as a == b."""
+    num, den = width.numerator, width.denominator
+    while (b - a) * den > num * d:
+        mid = a + b
+        a, b, d = 2 * a, 2 * b, 2 * d
+        s = _sign_at(coeffs, mid, d)
+        if s == 0:
+            return mid, mid, d
+        if s == s_lo:
+            a = mid
+        else:
+            b = mid
+    return a, b, d
+
+
 def refine_root(p: IntPolynomial, interval: RationalInterval,
                 width: Fraction = Fraction(1, 2 ** 32)) -> RationalInterval:
-    """Bisect an isolating interval of p down to the requested width."""
+    """Bisect an isolating interval of p down to the requested width.
+
+    The bracket is carried as integer numerators over a shared denominator
+    and becomes Fractions only on output, so the endpoints are exactly
+    those of bisecting by (lo + hi) / 2.
+    """
+    if width <= 0:
+        raise ValueError("refinement width must be positive")
     if interval.lo == interval.hi:
         return interval
-    w = square_free_part(p)
-    lo, hi = interval.lo, interval.hi
-    slo = w(lo)
-    shi = w(hi)
-    if slo == 0 or shi == 0 or slo * shi > 0:
+    coeffs = square_free_part(p).coeffs
+    a, b, d = _bracket(interval.lo, interval.hi)
+    s_lo, s_hi = _sign_at(coeffs, a, d), _sign_at(coeffs, b, d)
+    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("not a sign-change isolating interval")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = w(mid)
-        if v == 0:
-            return RationalInterval.point(mid)
-        if (v > 0) == (slo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)
+    a, b, d = _bisect(coeffs, a, b, d, s_lo, Fraction(width))
+    return RationalInterval(Fraction(a, d), Fraction(b, d))
 
 
 def rational_roots(p: IntPolynomial) -> list[Fraction]:
@@ -400,7 +450,7 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
     stack = [(-b, b)]  # integer (lo, hi]; every real root lies strictly inside
     while stack:
         lo, hi = stack.pop()
-        if _sign_variations(chain, lo) == _sign_variations(chain, hi):
+        if _sign_variations(chain, lo, 1) == _sign_variations(chain, hi, 1):
             continue
         if hi - lo == 1:
             if w(hi) == 0:

@@ -169,20 +169,16 @@ def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
         raise InvalidEndomorphismError("unit-circle root escaped structural removal")
     groups = ((2 * mult, u_iv.lo < 1 + c0), (2 * mult, True))
 
-    # detect m1 = m2 exactly: u* = 2 sqrt(c0), i.e. u*^2 = 4 c0
-    if u_isolated.lo == u_isolated.hi:
-        equal_moduli = u_isolated.lo ** 2 == 4 * c0
-    else:
-        # u* irrational: res(2 sqrt(c0)) = 0 forces both the even and the
-        # odd part of res to vanish at 4 c0, whence res = (y^2 - 4 c0)(y - y')
-        # with y' rational, so u* > 0 is 2 sqrt(c0)
-        r0, r1, r2, _ = res.coeffs
-        equal_moduli = r0 + r2 * 4 * c0 == 0 and r1 + 4 * c0 == 0
-
-    if equal_moduli:
+    # m1 = m2 exactly when u* = 2 sqrt(c0).  For a rational u* the
+    # enclosures below find disc = u*^2 - 4 c0 = 0 and return the points
+    # u*/2 = 2 c0/u* = sqrt(c0).  For an irrational u*, res(2 sqrt(c0)) = 0
+    # forces both the even and the odd part of res to vanish at 4 c0, whence
+    # res = (y^2 - 4 c0)(y - y') with y' rational, so u* > 0 is 2 sqrt(c0);
+    # the test needs u* irrational, since u* = y' satisfies it too.
+    r0, r1, r2, _ = res.coeffs
+    if u_isolated.lo != u_isolated.hi and r0 + r2 * 4 * c0 == 0 and r1 + 4 * c0 == 0:
 
         def enclosure_eq(width: Fraction) -> RationalInterval:
-            # a point interval when c0 is a rational square
             return sqrt_interval(RationalInterval.point(c0), width)
 
         return _OffCircleFactor(groups, lambda: [enclosure_eq, enclosure_eq])

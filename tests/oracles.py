@@ -218,17 +218,46 @@ def derivative(coeffs) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def real_root_count(coeffs) -> int:
-    """Distinct real roots of a non-constant integer polynomial: the sign
-    variations of its Sturm sequence at -infinity minus those at +infinity."""
+def evaluate(coeffs, x: Fraction) -> Fraction:
+    return sum((c * x ** k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+def real_root_count(coeffs, lo=None, hi=None) -> int:
+    """Distinct real roots in (lo, hi] of a non-constant integer polynomial,
+    on the whole line by default: the sign variations of its Sturm sequence
+    at lo minus those at hi, with None standing for -infinity at lo and
+    +infinity at hi.  Neither endpoint may be a root."""
     seq = remainder_sequence(coeffs, derivative(_trim(coeffs)), sign=-1)
 
-    def variations(at_plus: bool) -> int:
-        signs = [(1 if q[-1] > 0 else -1) * (1 if at_plus or len(q) % 2 else -1)
-                 for q in seq]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+    def variations(x, at_plus: bool) -> int:
+        if x is None:
+            signs = [(1 if q[-1] > 0 else -1) * (1 if at_plus or len(q) % 2 else -1)
+                     for q in seq]
+        else:
+            signs = [1 if v > 0 else -1 for v in (evaluate(q, x) for q in seq) if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    return variations(False) - variations(True)
+    return variations(lo, False) - variations(hi, True)
+
+
+def bisect_root(coeffs, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect (lo, hi], where the polynomial changes sign, at (lo + hi) / 2
+    until it is at most width wide, keeping the half with the sign change;
+    a midpoint that is a root gives (mid, mid).  A point interval is
+    returned as it is."""
+    if lo == hi:
+        return lo, hi
+    s_lo = evaluate(coeffs, lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = evaluate(coeffs, mid)
+        if v == 0:
+            return mid, mid
+        if (v > 0) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 # -- det(I - M^n) ----------------------------------------------------------------

@@ -192,6 +192,22 @@ class TestCensus:
         for iv in c.outside_moduli:
             assert iv.lo ** 2 <= 75 <= iv.hi ** 2
 
+    @pytest.mark.parametrize("text, modulus_sq", [
+        ("25,0,6,0,1", 5),     # (t^2 + 2t + 5)(t^2 - 2t + 5): u* = 10
+        ("9,-3,4,-1,1", 3),    # (t^2 + t + 3)(t^2 - 2t + 3): u* = 6
+    ])
+    def test_equal_moduli_rational(self, text, modulus_sq):
+        c = count_roots_by_modulus(quartic(text))
+        assert (c.n_zero, c.n_less, c.n_on, c.n_more) == (0, 0, 0, 4)
+        assert all(iv.lo == iv.hi == modulus_sq for iv in c.outside_moduli)
+
+    def test_rational_u_star_beside_the_equal_moduli_factor(self):
+        # (t^2 + 4)(t^2 + 9): the resolvent (y - 13)(y^2 - 144) has the
+        # equal-moduli factor y^2 - 4 c0, but u* = 13 and the moduli differ
+        c = count_roots_by_modulus(quartic("36,0,13,0,1"))
+        assert sorted(iv.lo for iv in c.outside_moduli) == [4, 4, 9, 9]
+        assert all(iv.lo == iv.hi for iv in c.outside_moduli)
+
     @pytest.mark.parametrize("text, width", [
         ("3,1,5,2,1", Fraction(0)),
         ("3,1,5,2,1", Fraction(-1, 4)),

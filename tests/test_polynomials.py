@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from torusfix.intervals import RationalInterval, is_square_rational, sqrt_interval
 from torusfix.polynomials import (
@@ -26,7 +26,8 @@ from torusfix.polynomials import (
     sturm_count,
 )
 
-from oracles import derivative, primitive_integer, remainder_sequence
+from oracles import bisect_root, derivative, evaluate, primitive_integer, real_root_count
+from oracles import remainder_sequence
 from oracles import rational_roots as rational_root_theorem
 from oracles import resultant as sylvester_resultant
 from oracles import square_free_kernel
@@ -179,6 +180,13 @@ class TestRealRoots:
         iv = refine_root(p, pos, Fraction(1, 10 ** 9))
         assert iv.width <= Fraction(1, 10 ** 9)
         assert iv.lo ** 2 <= 2 <= iv.hi ** 2
+
+    @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 4)])
+    def test_refine_root_rejects_non_positive_width(self, width):
+        # bisection never narrows an irrational root's bracket to width <= 0
+        p = poly(-2, 0, 1)
+        with pytest.raises(ValueError, match="width must be positive"):
+            refine_root(p, real_root_isolation(p)[1], width)
 
     def test_cauchy_bound_contains_roots(self):
         p = poly(-6, 11, -6, 1)  # roots 1, 2, 3
@@ -350,7 +358,74 @@ class TestIntegerCore:
             (q * d + r).divexact(d)
 
 
+@st.composite
+def square_free_polys(draw):
+    """Square-free integer polynomials of degree 1 to 6, monic or not."""
+    low = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    lead = draw(st.one_of(st.just(1), st.sampled_from([x for x in range(-12, 13) if x])))
+    coeffs = low + [lead]
+    assume(len(remainder_sequence(coeffs, derivative(coeffs))[-1]) == 1)
+    return IntPolynomial(coeffs)
+
+
+# widths 2^-1 ... 2^-60, and widths whose denominator is not a power of two
+widths = st.one_of(
+    st.integers(1, 60).map(lambda k: Fraction(1, 2 ** k)),
+    st.builds(Fraction, st.integers(1, 1000), st.integers(3, 10 ** 9)).filter(
+        lambda w: w.denominator & (w.denominator - 1)),
+)
+non_dyadic = st.builds(Fraction, st.integers(-200, 200), st.sampled_from([3, 5, 7, 9, 11, 13, 15]))
+
+
+def narrowed(p: IntPolynomial, iv: RationalInterval, data) -> RationalInterval:
+    """A sub-bracket of iv with endpoints lo + k (hi - lo) / q for odd q,
+    still with a sign change, or iv itself when the drawn one has none."""
+    if iv.lo == iv.hi:
+        return iv
+    q = data.draw(st.sampled_from([3, 5, 7, 9, 11]))
+    i = data.draw(st.integers(0, q - 1))
+    j = data.draw(st.integers(i + 1, q))
+    lo, hi = iv.lo + iv.width * Fraction(i, q), iv.lo + iv.width * Fraction(j, q)
+    if evaluate(p.coeffs, lo) * evaluate(p.coeffs, hi) < 0:
+        return RationalInterval(lo, hi)
+    return iv
+
+
+class TestRootLayer:
+    """The integer bisection against Fraction bisection at (lo + hi) / 2."""
+
+    @given(square_free_polys(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_refine_root_matches_fraction_bisection(self, p, data):
+        for iv in real_root_isolation(p):
+            iv, width = narrowed(p, iv, data), data.draw(widths)
+            out = refine_root(p, iv, width)
+            assert (out.lo, out.hi) == bisect_root(p.coeffs, iv.lo, iv.hi, width)
+
+    def test_refine_root_from_non_dyadic_bracket(self):
+        # t^4 - 5t^3 + 22t^2 + 3t - 7 from (1/3, 5/7] and a midpoint root
+        p = poly(-7, 3, 22, -5, 1)
+        lo, hi = Fraction(1, 3), Fraction(5, 7)
+        for width in (Fraction(1, 2 ** 40), Fraction(1, 3 ** 20), Fraction(2)):
+            out = refine_root(p, RationalInterval(lo, hi), width)
+            assert (out.lo, out.hi) == bisect_root(p.coeffs, lo, hi, width)
+        q = poly(-3, 4)  # (0, 3/2] halves to 3/4 at the first step
+        out = refine_root(q, RationalInterval(Fraction(0), Fraction(3, 2)), Fraction(1, 8))
+        assert out.lo == out.hi == Fraction(3, 4)
+
+    @given(square_free_polys(), non_dyadic, non_dyadic)
+    @example(poly(-2, 0, 1), Fraction(-10, 7), Fraction(13, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_sturm_count_matches_oracle(self, p, lo, hi):
+        assume(lo < hi and evaluate(p.coeffs, lo) and evaluate(p.coeffs, hi))
+        assert sturm_count(p, RationalInterval(lo, hi)) == real_root_count(p.coeffs, lo, hi)
+
+
 class TestIntervals:
+    def test_sqrt_rejects_zero_width(self):
+        with pytest.raises(ValueError, match="width must be positive"):
+            sqrt_interval(RationalInterval.point(Fraction(2)), Fraction(0))
+
     def test_sqrt_exact_square(self):
         iv = sqrt_interval(RationalInterval.point(Fraction(256)), Fraction(1, 2 ** 20))
         assert iv.lo == iv.hi == 16
@@ -364,3 +439,18 @@ class TestIntervals:
         a = RationalInterval(Fraction(-1), Fraction(2))
         b = RationalInterval(Fraction(3), Fraction(4))
         assert (a * b).lo == -4 and (a * b).hi == 8
+
+    @given(st.lists(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)),
+                    min_size=4, max_size=4), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_interval_mul_and_power_hull(self, ends, k):
+        # the product is the hull of the four endpoint products, whatever
+        # the signs, and intpow(k) is the k-fold product
+        a = RationalInterval(*sorted(ends[:2]))
+        b = RationalInterval(*sorted(ends[2:]))
+        products = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+        assert (a * b).lo == min(products) and (a * b).hi == max(products)
+        power = RationalInterval.point(1)
+        for _ in range(k):
+            power = power * a
+        assert a.intpow(k) == power

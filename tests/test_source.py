@@ -68,10 +68,12 @@ def test_library_has_no_unreferenced_names():
 
 
 def test_polynomial_core_is_integer():
-    # division, gcds, Sturm chains and square-free parts are integer
-    # computations: no Fraction and no true division inside them
+    # division, gcds, Sturm chains, square-free parts, Sturm signs and root
+    # bisection are integer computations: no Fraction and no true division
+    # inside them
     core = {"poly_divmod", "divexact", "_primitive_remainder", "poly_gcd", "sturm_chain",
-            "square_free_part", "squarefree_decomposition"}
+            "square_free_part", "squarefree_decomposition", "_bracket", "_sign_at",
+            "_sign_variations", "_isolating_brackets", "_bisect"}
     found, offenders = set(), []
     for name, node in _library_nodes():
         if name != "polynomials.py" or not isinstance(node, ast.FunctionDef) or node.name not in core:
