@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import InvalidEndomorphismError, ZeroEndomorphismError
-from .endomorphisms import EndomorphismInput, char_poly_rational, fix_values
+from .endomorphisms import EndomorphismInput, _char_poly_unvalidated, char_poly_rational, fix_values
 from .intervals import RationalInterval
 from .polynomials import IntPolynomial
 from .unitcircle import (
@@ -25,7 +25,6 @@ from .unitcircle import (
     CharPolyQuartic,
     EigenvalueClassification,
     _analyze,
-    _require_valid_structure,
 )
 
 DEFAULT_GROWTH_WIDTH = Fraction(1, 2 ** 20)
@@ -74,9 +73,10 @@ def classify(e: EndomorphismInput) -> BehaviorReport:
     An eigenvalue exactly 1 makes fix identically zero (the fixed locus is
     a positive-dimensional subtorus); by the fix = 0 convention the
     constant-zero function is periodic, so this edge is reported as B2
-    with period 1 and cycle [0].
+    with period 1 and cycle [0].  The analysis pass also checks the
+    conjugate-pair rule, so the quartic is not validated beforehand.
     """
-    quartic = char_poly_rational(e)
+    quartic = CharPolyQuartic(_char_poly_unvalidated(e))
     p = quartic.poly
     if p == IntPolynomial((0, 0, 0, 0, 1)):
         raise ZeroEndomorphismError("all four eigenvalues vanish")
@@ -126,11 +126,10 @@ def mahler_measure_interval(
     """Enclosure of prod max(1, |mu_i|) over the quartic's roots, of width
     at most `width`; this is the exponential growth base of fix(f^n).
 
-    Raises InvalidStructureError if P fails conjugate-pair validation.
+    Raises InvalidStructureError if P fails the conjugate-pair rule.
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    _require_valid_structure(P)
     return _analyze(P).growth_base(width)
 
 

@@ -38,6 +38,7 @@ from .endomorphisms import (
     AnalyticRep,
     RationalRep,
     char_poly_rational,
+    exact_int,
     fix_sequence,
 )
 from .errors import TorusFixError
@@ -92,6 +93,8 @@ def parse_matrix_inline(text: str) -> RationalRep:
 
 
 def _parse_poly_checked(text: str) -> IntPolynomial:
+    if not isinstance(text, str):
+        raise InputFormatError(f"polynomial must be a string such as '1,-1,1', got {text!r}")
     try:
         return parse_poly(text)
     except ValueError as exc:
@@ -99,10 +102,12 @@ def _parse_poly_checked(text: str) -> IntPolynomial:
 
 
 def _element_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"algebra element must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     try:
         if kind == "real_quad":
-            return RealQuadElement(int(doc["d"]), int(doc["a"]), int(doc["b"]))
+            return RealQuadElement(exact_int(doc["d"]), exact_int(doc["a"]), exact_int(doc["b"]))
         if kind == "quaternion":
             a, b, c, d = (_fraction(x) for x in doc["coeffs"])
             return quaternion_element(
@@ -135,7 +140,7 @@ def parse_input(document: str):
                 [_parse_analytic_entry(cell) for cell in row]
                 for row in doc["matrix"]
             ]
-            e = AnalyticRep(int(doc["field"]), entries)
+            e = AnalyticRep(doc["field"], entries)
         elif kind == "algebra":
             e = _element_from_dict(doc["element"])
         elif kind in ("real_quad", "quaternion", "cm"):

@@ -27,6 +27,18 @@ from .unitcircle import CharPolyQuartic, validate_conjugate_pair_structure
 MAX_ITERATE = 10 ** 6
 
 
+def exact_int(x) -> int:
+    """x as an int, without the silent truncation of int(x): a bool or a
+    number that is not an integer raises ValueError; a string is parsed."""
+    try:
+        n = int(x)
+    except OverflowError as exc:
+        raise ValueError(f"integer required, got {x!r}") from exc
+    if isinstance(x, bool) or (not isinstance(x, str) and n != x):
+        raise ValueError(f"integer required, got {x!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class RationalRep:
     """4x4 integer matrix acting on the lattice."""
@@ -34,7 +46,7 @@ class RationalRep:
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, matrix):
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(tuple(exact_int(x) for x in row) for row in matrix)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("4x4 integer matrix required")
         object.__setattr__(self, "matrix", rows)
@@ -65,7 +77,7 @@ class AnalyticRep:
     matrix: tuple[tuple[QuadraticFieldElement, ...], ...]
 
     def __init__(self, field_param: int, matrix):
-        m = int(field_param)
+        m = exact_int(field_param)
         if m != 1 and (m == 0 or _square_free_kernel(m) != abs(m)):
             raise ValueError(f"field parameter {m} must be square-free or 1")
         rows = []
@@ -134,14 +146,10 @@ def char_poly_rational(e: EndomorphismInput) -> CharPolyQuartic:
     """The monic integer quartic char poly of the rational representation.
 
     Raises NonIntegralError if the analytic expansion is not integral and
-    InvalidStructureError if the quartic fails conjugate-pair validation.
+    InvalidStructureError if the quartic fails the conjugate-pair rule.
     """
-    p = _char_poly_unvalidated(e)
-    quartic = CharPolyQuartic(p)
-    if not validate_conjugate_pair_structure(quartic):
-        raise InvalidStructureError(
-            f"{p} cannot be the rational char poly of a torus endomorphism"
-        )
+    quartic = CharPolyQuartic(_char_poly_unvalidated(e))
+    validate_conjugate_pair_structure(quartic)
     return quartic
 
 

@@ -338,21 +338,23 @@ def _isolating_brackets(chain: list[IntPolynomial], a: int, b: int,
     """Brackets (a', b', d') around the roots of chain[0] in (a/d, b/d],
     each holding one root and a sign change, by bisection: a midpoint
     (a + b) / 2d is a + b over the doubled denominator, and so the same
-    rational as (lo + hi) / 2."""
+    rational as (lo + hi) / 2.  Each node carries the Sturm variations at
+    its endpoints, so every midpoint is evaluated once."""
     coeffs = chain[0].coeffs
     out = []
-    stack = [(a, b, d)]
+    stack = [(a, b, d, _sign_variations(chain, a, d), _sign_variations(chain, b, d))]
     while stack:
-        a, b, d = stack.pop()
-        n = _sign_variations(chain, a, d) - _sign_variations(chain, b, d)
+        a, b, d, v_a, v_b = stack.pop()
+        n = v_a - v_b
         if n == 0:
             continue
         if n == 1 and _sign_at(coeffs, a, d) * _sign_at(coeffs, b, d) < 0:
             out.append((a, b, d))
             continue
         mid = a + b  # chain[0] has no rational root, so it is non-zero here
-        stack.append((2 * a, mid, 2 * d))
-        stack.append((mid, 2 * b, 2 * d))
+        v_mid = _sign_variations(chain, mid, 2 * d)
+        stack.append((2 * a, mid, 2 * d, v_a, v_mid))
+        stack.append((mid, 2 * b, 2 * d, v_mid, v_b))
     return out
 
 
@@ -447,18 +449,20 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
     ))
     chain = sturm_chain(w)
     b = math.ceil(cauchy_bound(w))
-    stack = [(-b, b)]  # integer (lo, hi]; every real root lies strictly inside
+    # integer (lo, hi] and the Sturm variations at both; every real root lies strictly inside
+    stack = [(-b, b, _sign_variations(chain, -b, 1), _sign_variations(chain, b, 1))]
     while stack:
-        lo, hi = stack.pop()
-        if _sign_variations(chain, lo, 1) == _sign_variations(chain, hi, 1):
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
             continue
         if hi - lo == 1:
             if w(hi) == 0:
                 roots.append(Fraction(hi, a))
             continue
         mid = (lo + hi) // 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        v_mid = _sign_variations(chain, mid, 1)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
     return sorted(roots)
 
 

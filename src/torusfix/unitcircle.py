@@ -1,10 +1,10 @@
 """Exact classification of quartic roots relative to the unit circle.
 
-Roots on the circle are found structurally: for a validated quartic they
-are roots of unity, so exact integer division by the cyclotomic
-polynomials of degree <= 4 strips them.  No floating point is involved
-anywhere, since no tolerance can distinguish |mu| = 1 from |mu| = 1 +- eps
-for an integer polynomial.
+Roots on the circle are found structurally: for a quartic that passes the
+conjugate-pair rule they are roots of unity, so exact integer division of
+each square-free factor by the cyclotomic polynomials of degree <= 4 strips
+them.  No floating point is involved anywhere, since no tolerance can
+distinguish |mu| = 1 from |mu| = 1 +- eps for an integer polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .intervals import RationalInterval, sqrt_interval
 from .polynomials import (
     ALLOWED_UNITY_ORDERS,
     IntPolynomial,
-    ONE,
     count_real_roots,
     cyclotomic,
     poly_divmod,
@@ -66,46 +65,19 @@ class EigenvalueClassification:
                 raise ValueError(f"unity order {k} outside the allowed set")
 
 
-def validate_conjugate_pair_structure(P: CharPolyQuartic) -> bool:
-    """True iff the roots can be written {l1, l2, conj l1, conj l2}:
-    equivalently, every real root has even multiplicity."""
-    for factor, mult in squarefree_decomposition(P.poly):
-        if mult % 2 == 1 and count_real_roots(factor) > 0:
-            return False
-    return True
+def _require_conjugate_pairs(p: IntPolynomial, f: IntPolynomial, mult: int) -> None:
+    """The conjugate-pair rule on one factor f^mult of p's square-free
+    decomposition: a factor of odd multiplicity has no real root."""
+    if mult % 2 and count_real_roots(f):
+        raise InvalidStructureError(f"{p} cannot be the rational char poly of a torus endomorphism")
 
 
-def unit_circle_factor(
-    P: CharPolyQuartic,
-) -> tuple[IntPolynomial, tuple[int, ...], IntPolynomial]:
-    """(circle, orders, cofactor) for a quartic that passes conjugate-pair
-    validation: P = t^k * circle * cofactor, where the circle factor
-    carries exactly the unit-circle roots, orders lists their unity orders
-    per root (ascending, with multiplicity), and the cofactor carries the
-    roots off the circle and away from 0.
-
-    By Kronecker's theorem the circle factor of a validated quartic is a
-    product of the Phi_k with k in ALLOWED_UNITY_ORDERS: a circle root that
-    is not a root of unity has a self-reciprocal minimal polynomial of
-    degree 4 with a real reciprocal pair of simple roots off the circle,
-    which validation rejects.  So one pass of exact monic divisions by
-    each Phi_k finds it.  On an unvalidated quartic the circle factor may
-    miss such roots.
-    """
-    p = P.poly
-    cofactor = IntPolynomial(p.coeffs[p.trailing_zero_count():])
-    circle = ONE
-    orders: list[int] = []
-    for k in ALLOWED_UNITY_ORDERS:
-        phi = cyclotomic(k)
-        while cofactor.degree >= phi.degree:
-            quo, rem = poly_divmod(cofactor, phi)
-            if not rem.is_zero():
-                break
-            cofactor = quo
-            circle = circle * phi
-            orders.extend([k] * phi.degree)
-    return circle, tuple(orders), cofactor
+def validate_conjugate_pair_structure(P: CharPolyQuartic) -> None:
+    """Raise InvalidStructureError unless the roots can be written
+    {l1, l2, conj l1, conj l2}: equivalently, every real root has even
+    multiplicity."""
+    for f, mult in squarefree_decomposition(P.poly):
+        _require_conjugate_pairs(P.poly, f, mult)
 
 
 # -- off-circle root groups ---------------------------------------------------
@@ -116,7 +88,8 @@ Enclosure = Callable[[Fraction], RationalInterval]
 
 @dataclass(frozen=True)
 class _OffCircleFactor:
-    """One square-free factor of the off-circle cofactor.
+    """What is left of one square-free factor of P once its root 0 and
+    its cyclotomic factors are divided out: roots off the circle only.
 
     ``groups`` lists its roots as (count, outside) pairs, one per set of
     roots sharing a modulus, counted with multiplicity; outside means
@@ -243,39 +216,17 @@ def _real_root_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
     return _OffCircleFactor(groups, enclosures)
 
 
-def _off_circle_factors(w: IntPolynomial) -> list[_OffCircleFactor]:
-    """The square-free factors of a monic integer polynomial with no roots
-    at 0 or on the unit circle.  Requires the even-multiplicity real-root
-    structure of a validated quartic."""
-    factors: list[_OffCircleFactor] = []
-    for f, mult in squarefree_decomposition(w):
-        # validation makes real multiplicities even: a factor with a real
-        # root has only real roots; the others have one or two complex pairs
-        if count_real_roots(f):
-            factors.append(_real_root_factor(f, mult))
-        elif f.degree == 2:
-            c0 = Fraction(f.coeffs[0], f.coeffs[2])
-            factors.append(_OffCircleFactor(
-                ((2 * mult, c0 > 1),), lambda _e=_point(c0): [_e]
-            ))
-        else:
-            factors.append(_two_pair_factor(f, mult))
-    return factors
-
-
 # -- one analysis per quartic -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Analysis:
     """The structure of one quartic's roots relative to the unit circle:
-    the zero count, the unit-circle factor and its per-root unity orders,
-    and the off-circle cofactor split into square-free factors."""
+    the zero count, the per-root unity orders of the circle roots, and the
+    off-circle part of each square-free factor."""
 
     n_zero: int
-    circle: IntPolynomial
     orders: tuple[int, ...]
-    cofactor: IntPolynomial
     factors: tuple[_OffCircleFactor, ...]
 
     def _outside_enclosures(self) -> list[tuple[int, Enclosure]]:
@@ -296,7 +247,7 @@ class _Analysis:
         return EigenvalueClassification(
             n_zero=self.n_zero,
             n_less=n_less,
-            n_on=self.circle.degree,
+            n_on=len(self.orders),
             n_more=len(outside_moduli),
             unity_orders=self.orders,
             outside_moduli=outside_moduli,
@@ -329,11 +280,47 @@ class _Analysis:
 
 
 def _analyze(P: CharPolyQuartic) -> _Analysis:
-    """Analyse P once.  P must already pass conjugate-pair validation,
-    which every caller checks first; the circle factor relies on it."""
-    circle, orders, w = unit_circle_factor(P)
-    factors = tuple(_off_circle_factors(w)) if w.degree else ()
-    return _Analysis(P.poly.trailing_zero_count(), circle, orders, w, factors)
+    """Analyse P in one pass over its square-free decomposition.
+
+    Each factor f^mult is checked against the conjugate-pair rule, which
+    raises InvalidStructureError; on a quartic a factor that breaks it is
+    the first one (multiplicity 1, or 3 beside a simple linear factor), so
+    no other error comes before it.  Then f loses its root 0 and every Phi_k
+    with k in ALLOWED_UNITY_ORDERS that divides it, each at most once since
+    f is square-free; a Phi_k adds deg Phi_k * mult copies of k to the
+    orders.  By Kronecker's theorem that strips every circle root: a circle
+    root that is not a root of unity has a self-reciprocal minimal
+    polynomial of degree 4 with a real reciprocal pair of simple roots off
+    the circle, which the rule rejects.  What is left of f has no roots at
+    0 or on the circle: real roots, one complex pair, or two pairs.  The
+    factors come in ascending multiplicity, and so do the off-circle parts.
+    """
+    p = P.poly
+    n_zero, orders, factors = 0, [], []
+    for f, mult in squarefree_decomposition(p):
+        _require_conjugate_pairs(p, f, mult)
+        if f.coeffs[0] == 0:
+            n_zero += mult
+            f = IntPolynomial(f.coeffs[1:])
+        for k in ALLOWED_UNITY_ORDERS:
+            phi = cyclotomic(k)
+            if f.degree >= phi.degree:
+                quo, rem = poly_divmod(f, phi)
+                if rem.is_zero():
+                    f = quo
+                    orders += [k] * (phi.degree * mult)
+        if f.degree <= 0:
+            continue
+        # by the rule a factor with a real root has only real roots; the
+        # others have one or two complex pairs
+        if count_real_roots(f):
+            factors.append(_real_root_factor(f, mult))
+        elif f.degree == 2:
+            c0 = Fraction(f.coeffs[0], f.coeffs[2])
+            factors.append(_OffCircleFactor(((2 * mult, c0 > 1),), lambda _e=_point(c0): [_e]))
+        else:
+            factors.append(_two_pair_factor(f, mult))
+    return _Analysis(n_zero, tuple(sorted(orders)), tuple(factors))
 
 
 def count_roots_by_modulus(
@@ -343,15 +330,9 @@ def count_roots_by_modulus(
     """Exact modulus census of the quartic's four roots.
 
     Raises ValueError for a width <= 0 and InvalidStructureError if P fails
-    conjugate-pair validation; every unit-circle root of a validated
-    quartic is a root of unity.
+    the conjugate-pair rule; every unit-circle root of a quartic that
+    passes it is a root of unity.
     """
     if enclosure_width <= 0:
         raise ValueError("enclosure width must be positive")
-    _require_valid_structure(P)
     return _analyze(P).census(enclosure_width)
-
-
-def _require_valid_structure(P: CharPolyQuartic) -> None:
-    if not validate_conjugate_pair_structure(P):
-        raise InvalidStructureError(f"{P.poly} fails conjugate-pair validation")

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfix.behavior import classify, mahler_measure_interval
+from torusfix import behavior, unitcircle
+from torusfix.behavior import classify, mahler_measure_interval, verify_b3_pattern
 from torusfix.cli import main
+from torusfix.endomorphisms import RationalRep, fix_count, fix_sequence
 from torusfix.errors import InvalidStructureError
 from torusfix.polynomials import (
     ALLOWED_UNITY_ORDERS,
@@ -18,8 +20,8 @@ from torusfix.polynomials import (
 )
 from torusfix.unitcircle import (
     CharPolyQuartic,
+    _analyze,
     count_roots_by_modulus,
-    unit_circle_factor,
     validate_conjugate_pair_structure,
 )
 
@@ -61,19 +63,28 @@ def product(polys) -> IntPolynomial:
     return out
 
 
+INVALID_MESSAGE = "cannot be the rational char poly of a torus endomorphism"
+
+
 class TestStructureValidation:
+    # the rule is checked alone by validate_conjugate_pair_structure and
+    # inside the analysis pass; both raise the same error
     def test_accepts_conjugate_pairs(self):
-        assert validate_conjugate_pair_structure(quartic("4,0,5,0,1"))
-        assert validate_conjugate_pair_structure(quartic("1,-2,3,-2,1"))
+        for text in ("4,0,5,0,1", "1,-2,3,-2,1"):
+            validate_conjugate_pair_structure(quartic(text))
+            _analyze(quartic(text))
 
     def test_accepts_even_multiplicity_real_roots(self):
-        assert validate_conjugate_pair_structure(quartic("16,-32,24,-8,1"))
-        assert validate_conjugate_pair_structure(quartic("1,-4,2,4,1"))
+        for text in ("16,-32,24,-8,1", "1,-4,2,4,1"):
+            validate_conjugate_pair_structure(quartic(text))
+            _analyze(quartic(text))
 
     def test_rejects_simple_real_roots(self):
         # Salem-type quartic: two real reciprocal roots, two on the circle
-        assert not validate_conjugate_pair_structure(quartic("1,-1,-1,-1,1"))
-        assert not validate_conjugate_pair_structure(quartic("-6,11,-6,0,1"))
+        for text in ("1,-1,-1,-1,1", "-6,11,-6,0,1", "0,-1,0,0,1", "-2,0,0,0,1"):
+            for check in (validate_conjugate_pair_structure, _analyze):
+                with pytest.raises(InvalidStructureError, match=f"{text} {INVALID_MESSAGE}"):
+                    check(quartic(text))
 
     def test_non_quartic_rejected(self):
         with pytest.raises(InvalidStructureError):
@@ -82,19 +93,26 @@ class TestStructureValidation:
             CharPolyQuartic(parse_poly("1,0,0,0,2"))
 
 
+def circle_split(P: CharPolyQuartic):
+    """(n_zero, unity orders, n_on, n_less, outside |mu|^2 lower ends) from
+    the one analysis pass."""
+    c = _analyze(P).census(Fraction(1, 2 ** 20))
+    return c.n_zero, c.unity_orders, c.n_on, c.n_less, sorted(iv.lo for iv in c.outside_moduli)
+
+
 class TestUnitCircleFactor:
     def test_all_roots_on_circle(self):
-        circle, _, cofactor = unit_circle_factor(quartic("1,-2,3,-2,1"))
-        assert circle == parse_poly("1,-1,1") * parse_poly("1,-1,1")
-        assert cofactor == ONE
+        analysis = _analyze(quartic("1,-2,3,-2,1"))
+        assert analysis.orders == (6, 6, 6, 6) and analysis.factors == ()
+        assert circle_split(quartic("1,-2,3,-2,1")) == (0, (6, 6, 6, 6), 4, 0, [])
 
     def test_no_roots_on_circle(self):
-        p = parse_poly("16,-32,24,-8,1")
-        assert unit_circle_factor(CharPolyQuartic(p)) == (ONE, (), p)
-        assert unit_circle_factor(quartic("1,1,0,0,1"))[0] == ONE
+        assert circle_split(quartic("16,-32,24,-8,1")) == (0, (), 0, 0, [4] * 4)
+        assert circle_split(quartic("1,1,0,0,1"))[:4] == (0, (), 0, 2)
 
     def test_mixed(self):
-        assert unit_circle_factor(quartic("4,0,5,0,1")) == (PHI[4], (4, 4), parse_poly("4,0,1"))
+        assert circle_split(quartic("4,0,5,0,1")) == (0, (4, 4), 2, 0, [4, 4])
+        assert circle_split(quartic("0,0,1,-1,1")) == (2, (6, 6), 2, 0, [])
 
     @given(st.one_of(
         st.lists(quadratic_block, min_size=2, max_size=2),
@@ -103,36 +121,69 @@ class TestUnitCircleFactor:
     @settings(max_examples=300, deadline=None)
     def test_recovers_constructed_factors(self, blocks):
         P = CharPolyQuartic(product(p for _, p, _ in blocks))
-        assert validate_conjugate_pair_structure(P)
-        circle = product(p for kind, p, _ in blocks if kind == "circle")
+        validate_conjugate_pair_structure(P)
+        n_zero = 2 * sum(kind == "zero" for kind, _, _ in blocks)
         orders = tuple(sorted(k for _, _, ks in blocks for k in ks))
-        cofactor = product(p for kind, p, _ in blocks if kind == "off")
-        assert unit_circle_factor(P) == (circle, orders, cofactor)
+        # every off-circle block has two roots outside, of |mu|^2 = p(0)
+        outside = sorted(c for kind, p, _ in blocks if kind == "off" for c in [p.coeffs[0]] * 2)
+        assert circle_split(P) == (n_zero, orders, len(orders), 0, outside)
 
     def test_salem_type_straddle_rejected(self, capsys):
         salem = quartic("1,-1,-1,-1,1")
-        with pytest.raises(InvalidStructureError):
-            count_roots_by_modulus(salem)
-        with pytest.raises(InvalidStructureError):
-            classify(salem)
-        with pytest.raises(InvalidStructureError):
-            mahler_measure_interval(salem)
+        for call in (count_roots_by_modulus, classify, mahler_measure_interval):
+            with pytest.raises(InvalidStructureError, match=INVALID_MESSAGE):
+                call(salem)
         assert main(["classify", "--charpoly", "1,-1,-1,-1,1"]) == 2
         assert "InvalidStructureError" in capsys.readouterr().err
 
 
 class TestRootOfUnityOrders:
     def test_orders(self):
-        assert unit_circle_factor(CharPolyQuartic(PHI[4] * PHI[6]))[1] == (4, 4, 6, 6)
-        assert unit_circle_factor(CharPolyQuartic(PHI[5]))[1] == (5, 5, 5, 5)
-        assert unit_circle_factor(CharPolyQuartic(PHI[1].square() * PHI[3]))[1] == (1, 1, 3, 3)
+        assert _analyze(CharPolyQuartic(PHI[4] * PHI[6])).orders == (4, 4, 6, 6)
+        assert _analyze(CharPolyQuartic(PHI[5])).orders == (5, 5, 5, 5)
+        # the pass meets the simple Phi_3 or Phi_4 before the square of Phi_1
+        assert _analyze(CharPolyQuartic(PHI[1].square() * PHI[3])).orders == (1, 1, 3, 3)
+        assert _analyze(CharPolyQuartic(PHI[1].square() * PHI[4])).orders == (1, 1, 4, 4)
 
     def test_non_cyclotomic(self):
         golden_sq = parse_poly("-1,-1,1").square()
-        assert unit_circle_factor(CharPolyQuartic(golden_sq)) == (ONE, (), golden_sq)
+        assert circle_split(CharPolyQuartic(golden_sq))[:4] == (0, (), 0, 2)
 
     def test_multiplicities(self):
-        assert unit_circle_factor(CharPolyQuartic(PHI[6].square()))[1] == (6, 6, 6, 6)
+        assert _analyze(CharPolyQuartic(PHI[6].square())).orders == (6, 6, 6, 6)
+        assert circle_split(CharPolyQuartic(PHI[2].square() * parse_poly("9,0,1"))) == \
+            (0, (2, 2), 2, 0, [9, 9])
+
+
+class TestOneDecomposition:
+    @pytest.mark.parametrize("e, verdict", [
+        (RationalRep([[2 * (i == j) for j in range(4)] for i in range(4)]), "B1"),
+        (CharPolyQuartic(PHI[6].square()), "B2"),
+        (quartic("4,0,5,0,1"), "B3"),
+        (CharPolyQuartic(PHI[1].square() * PHI[4]), "B2"),
+    ])
+    def test_classify_decomposes_once(self, monkeypatch, e, verdict):
+        calls = []
+        decompose = unitcircle.squarefree_decomposition
+        monkeypatch.setattr(unitcircle, "squarefree_decomposition",
+                            lambda p: calls.append(p) or decompose(p))
+        assert classify(e).verdict == verdict
+        assert len(calls) == 1
+
+    def test_counts_keep_the_cheap_check(self, monkeypatch):
+        # fix counts need only the conjugate-pair rule, not the census
+        e = quartic("4,0,5,0,1")
+        report = classify(e)
+
+        def analysis_ran(P):
+            raise AssertionError("the analysis pass ran")
+
+        monkeypatch.setattr(behavior, "_analyze", analysis_ran)
+        monkeypatch.setattr(unitcircle, "_analyze", analysis_ran)
+        assert fix_count(e, 4) == 0 and fix_sequence(e, 4)[3] == 0
+        assert verify_b3_pattern(e, report, 40)
+        with pytest.raises(InvalidStructureError, match=INVALID_MESSAGE):
+            fix_count(quartic("1,-1,-1,-1,1"), 1)
 
 
 class TestSchurCohn:
@@ -277,7 +328,7 @@ class TestMahlerMeasure:
         for _ in range(60):
             P = random_valid_quartic(rng)
             p = P.poly
-            if p.trailing_zero_count() or unit_circle_factor(P)[0].degree:
+            if p.trailing_zero_count() or _analyze(P).orders:
                 continue
             m = float(np.prod(np.maximum(1.0, np.abs(np.roots(list(reversed(p.coeffs)))))))
             iv = mahler_measure_interval(P, Fraction(1, 2 ** 16))

@@ -129,6 +129,57 @@ class TestAlgebraCommand:
         assert code == 2 and "NotDivisionAlgebraError" in err
 
 
+IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+CM_ELEMENT = {"kind": "cm", "g": "1,1,1,1,1", "coords": ["0", "1", "0", "0"]}
+RM_ELEMENT = {"kind": "real_quad", "d": 2, "a": -1, "b": 1}
+
+
+class TestMalformedJson:
+    # each ends in the documented "error:" line and exit 1, not a traceback
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", json.dumps({"kind": "char_poly", "poly": [1, 2, 3, 4, 1]})],
+        ["classify", "--input", json.dumps({**CM_ELEMENT, "g": [1, 1, 1, 1, 1]})],
+        ["classify", "--input", json.dumps({**CM_ELEMENT, "g": 11111})],
+        ["algebra", "cm", "classify", "--element", json.dumps({**CM_ELEMENT, "g": [1, 1, 1, 1, 1]})],
+        ["algebra", "cm", "fix", "--element", json.dumps({**CM_ELEMENT, "g": 5})],
+        ["algebra", "rm", "classify", "--element", "[1]"],
+        ["algebra", "rm", "classify", "--element", '"real_quad"'],
+        ["classify", "--input", json.dumps({"kind": "algebra", "element": [1]})],
+    ], ids=["poly-list", "g-list", "g-number", "element-g-list", "element-g-number",
+            "element-list", "element-string", "nested-element-list"])
+    def test_non_string_polynomial_or_non_object_element(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "rational_rep", "matrix": [[1.5, 0, 0, 0]] + IDENTITY[1:]},
+        {"kind": "rational_rep", "matrix": [[True, 0, 0, 0]] + IDENTITY[1:]},
+        {"kind": "real_quad", "d": 2.9, "a": -1, "b": 1},
+        {"kind": "real_quad", "d": 2, "a": True, "b": 1},
+        {"kind": "real_quad", "d": 2, "a": -1, "b": 0.5},
+        {"kind": "algebra", "element": {"kind": "real_quad", "d": 3, "a": 1e400, "b": 1}},
+        {"kind": "analytic_rep", "field": 1.7, "matrix": [["1", "0"], ["0", "1"]]},
+        {"kind": "analytic_rep", "field": False, "matrix": [["1", "0"], ["0", "1"]]},
+    ], ids=["matrix-1.5", "matrix-true", "d-2.9", "a-true", "b-0.5", "a-inf", "field-1.7",
+            "field-false"])
+    def test_non_integral_number_rejected(self, capsys, doc):
+        # int() would truncate: 1.5 made the matrix the identity (B2)
+        code, out, err = run(capsys, "classify", "--input", json.dumps(doc))
+        assert code == 1 and err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("doc, same_as", [
+        ({"kind": "rational_rep", "matrix": [[2.0 * x for x in row] for row in IDENTITY]},
+         {"kind": "rational_rep", "matrix": [[str(2 * x) for x in row] for row in IDENTITY]}),
+        ({"kind": "real_quad", "d": 2.0, "a": "-1", "b": 1.0}, RM_ELEMENT),
+        ({"kind": "analytic_rep", "field": "1", "matrix": [["1", "0"], ["0", "2"]]},
+         {"kind": "analytic_rep", "field": 1.0, "matrix": [["1", "0"], ["0", "2"]]}),
+    ])
+    def test_integral_numbers_and_strings_keep_working(self, capsys, doc, same_as):
+        code, out, _ = run(capsys, "--json", "classify", "--input", json.dumps(doc))
+        assert code == 0
+        assert run(capsys, "--json", "classify", "--input", json.dumps(same_as)) == (0, out, "")
+
+
 class TestOtherCommands:
     def test_table_cm_has_nine(self, capsys):
         code, out, _ = run(capsys, "--json", "table", "--kind", "cm")

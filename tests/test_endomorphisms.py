@@ -84,6 +84,19 @@ class TestCharPoly:
         with pytest.raises(InvalidStructureError):
             char_poly_rational(RationalRep(m))
 
+    @pytest.mark.parametrize("entry", [1.5, True, False, Fraction(3, 2), float("inf"), float("nan")])
+    def test_rational_rep_rejects_non_integers(self, entry):
+        # int() would truncate 1.5 to 1 and read True as 1
+        with pytest.raises(ValueError):
+            RationalRep([[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(ValueError):
+            AnalyticRep(entry, [[1, 0], [0, 1]])
+
+    def test_rational_rep_accepts_integral_values(self):
+        m = [[2.0, "0", 0, 0], [0, Fraction(4, 2), 0, 0], [0, 0, " 2", 0], [0, 0, 0, 2]]
+        assert RationalRep(m) == scalar_rep(2)
+        assert AnalyticRep(-1.0, [[1, 0], [0, 1]]) == AnalyticRep("-1", [[1, 0], [0, 1]])
+
 
 class TestFixCount:
     def test_multiplication_closed_form(self):
