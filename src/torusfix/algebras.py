@@ -26,14 +26,13 @@ from .errors import (
     ZeroEndomorphismError,
     ZeroNormError,
 )
-from .endomorphisms import AnalyticRep, RationalRep, charpoly_frac, fix_count
+from .endomorphisms import AnalyticRep, RationalRep, charpoly_frac, exact_int, fix_count
 from .intervals import is_square_rational
 from .polynomials import (
     IntPolynomial,
     _square_free_kernel,
     cyclotomic,
     rational_roots,
-    square_free_part,
     count_real_roots,
 )
 from .unitcircle import CharPolyQuartic, _resolvent_cubic
@@ -47,13 +46,17 @@ class RealQuadElement:
     """a + b*omega in Z[omega] inside Q(sqrt(d)), d > 1 square-free;
     omega = sqrt(d) for d = 2,3 (mod 4) and (1+sqrt(d))/2 for d = 1 (mod 4).
 
-    b = 0 covers integer multiplication (endomorphism ring Z)."""
+    b = 0 covers integer multiplication (endomorphism ring Z).  Each field
+    is converted with ``exact_int``: a bool or a number that is not an
+    integer raises ValueError, and a string is parsed."""
 
     d: int
     a: int
     b: int
 
     def __post_init__(self):
+        for name in ("d", "a", "b"):
+            object.__setattr__(self, name, exact_int(getattr(self, name)))
         if self.d <= 1 or _square_free_kernel(self.d) != self.d:
             raise ValueError("d must be a square-free integer > 1")
 
@@ -271,14 +274,10 @@ class CMFieldDesc:
     with a real quadratic subfield Q(sqrt(d)).
 
     ``d`` is derived during validation, from the integer roots of the
-    resolvent cubic of g, which also decide irreducibility; ``e``
-    optionally records the square-free positive integer with
-    lambda = a + b sqrt(-e) when a degree-2 decomposition of an eigenvalue
-    is supplied by the caller."""
+    resolvent cubic of g, which also decide irreducibility."""
 
     defining_poly: IntPolynomial
     d: Optional[int] = None
-    e: Optional[int] = None
 
     def __post_init__(self):
         g = self.defining_poly
@@ -288,7 +287,7 @@ class CMFieldDesc:
         us = [int(u) for u in rational_roots(_resolvent_cubic(g))]
         if not _is_irreducible_quartic(g, us):
             raise ValueError(f"{g} is reducible over Q")
-        if count_real_roots(square_free_part(g)) != 0:
+        if count_real_roots(g) != 0:  # irreducible, so square-free
             raise ValueError(f"{g} is not totally imaginary")
         d = _real_quadratic_subfield_radicand(g, us)
         if d is None:

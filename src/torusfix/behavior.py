@@ -111,13 +111,11 @@ def classify(e: EndomorphismInput) -> BehaviorReport:
 
 
 def _minimal_period(p: IntPolynomial, census: EigenvalueClassification) -> tuple[int, tuple[int, ...]]:
-    orders = [k for k in census.unity_orders]
-    big = math.lcm(*orders) if orders else 1
+    big = math.lcm(*census.unity_orders) if census.unity_orders else 1
     full = list(islice(fix_values(p), big))
     for d in range(1, big + 1):
         if big % d == 0 and all(full[n] == full[n % d] for n in range(big)):
             return d, tuple(full[:d])
-    return big, tuple(full)
 
 
 def mahler_measure_interval(

@@ -38,7 +38,6 @@ from .endomorphisms import (
     AnalyticRep,
     RationalRep,
     char_poly_rational,
-    exact_int,
     fix_sequence,
 )
 from .errors import TorusFixError
@@ -107,7 +106,7 @@ def _element_from_dict(doc: dict):
     kind = doc.get("kind")
     try:
         if kind == "real_quad":
-            return RealQuadElement(exact_int(doc["d"]), exact_int(doc["a"]), exact_int(doc["b"]))
+            return RealQuadElement(doc["d"], doc["a"], doc["b"])
         if kind == "quaternion":
             a, b, c, d = (_fraction(x) for x in doc["coeffs"])
             return quaternion_element(
@@ -122,7 +121,8 @@ def _element_from_dict(doc: dict):
 
 
 def parse_input(document: str):
-    """JSON document -> endomorphism input or algebra element, validated."""
+    """JSON document -> endomorphism input or algebra element; the command
+    that uses it validates the quartic's structure in its own pass."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -151,7 +151,6 @@ def parse_input(document: str):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad {kind} document: {exc}") from exc
-    char_poly_rational(e)  # eager structural validation
     return e
 
 

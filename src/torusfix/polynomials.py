@@ -9,7 +9,10 @@ are integer computations (pseudo-remainders).  So are root isolation and
 refinement: a real-root bracket is kept as integer numerators a, b over one
 shared positive denominator d, signs come from integer Horner on
 d^deg q(a/d), and a bisection step doubles a, b and d and takes a + b as the
-midpoint.  A bracket becomes a pair of Fractions only on output.
+midpoint.  A bracket becomes a pair of Fractions only on output.  No
+function here keeps a cache: each call computes its square-free parts and
+Sturm chains afresh, and ``refine_root`` bisects the square-free
+polynomial it is given.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable
 
 from .errors import InvalidStructureError
@@ -241,12 +244,6 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + max(Fraction(abs(c), lead) for c in p.coeffs)
 
 
-# One analysis asks for the same few polynomials many times; 256 entries
-# keep those hits while bounding what a long-running process retains.
-_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'), primitive with positive leading coefficient."""
     if p.is_zero():
@@ -279,7 +276,6 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
@@ -407,8 +403,10 @@ def _bisect(coeffs: tuple[int, ...], a: int, b: int, d: int, s_lo: int,
 
 
 def refine_root(p: IntPolynomial, interval: RationalInterval,
-                width: Fraction = Fraction(1, 2 ** 32)) -> RationalInterval:
-    """Bisect an isolating interval of p down to the requested width.
+                width: Fraction) -> RationalInterval:
+    """Bisect an isolating interval of square-free p down to the requested
+    width.  p itself is bisected, so a root of even multiplicity in a p
+    that is not square-free shows no sign change and is rejected.
 
     The bracket is carried as integer numerators over a shared denominator
     and becomes Fractions only on output, so the endpoints are exactly
@@ -418,7 +416,7 @@ def refine_root(p: IntPolynomial, interval: RationalInterval,
         raise ValueError("refinement width must be positive")
     if interval.lo == interval.hi:
         return interval
-    coeffs = square_free_part(p).coeffs
+    coeffs = p.coeffs
     a, b, d = _bracket(interval.lo, interval.hi)
     s_lo, s_hi = _sign_at(coeffs, a, d), _sign_at(coeffs, b, d)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:

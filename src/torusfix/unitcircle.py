@@ -126,7 +126,10 @@ def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
     m1^2 + m2^2 is the largest real root u* of the resolvent cubic (the
     conjugate pairing dominates every other pairing's product sum), and
     m1^2 * m2^2 = c0.  One isolating interval of u* answers both questions
-    below, and the enclosures start from it unrefined.
+    below, and the enclosures start from it unrefined.  With mu, nu the
+    roots of the two pairs, the resolvent's roots differ by |mu - conj nu|^2,
+    |mu - nu|^2 and 4 Im mu Im nu, none zero for a square-free f, so the
+    resolvent is square-free and refine_root bisects it as it is.
     """
     c0 = Fraction(f.coeffs[0])
     res = _resolvent_cubic(f)
@@ -311,9 +314,10 @@ def _analyze(P: CharPolyQuartic) -> _Analysis:
                     orders += [k] * (phi.degree * mult)
         if f.degree <= 0:
             continue
-        # by the rule a factor with a real root has only real roots; the
-        # others have one or two complex pairs
-        if count_real_roots(f):
+        # by the rule a factor with a real root has only real roots, and
+        # one of odd multiplicity has none; the others have one or two
+        # complex pairs
+        if mult % 2 == 0 and count_real_roots(f):
             factors.append(_real_root_factor(f, mult))
         elif f.degree == 2:
             c0 = Fraction(f.coeffs[0], f.coeffs[2])

@@ -66,6 +66,22 @@ class TestRealQuadratic:
         with pytest.raises(ValueError):
             RealQuadElement(1, 1, 1)
 
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("bad", [True, 1.5, float("inf")])
+    def test_rejects_non_integer_fields(self, field, bad):
+        args = [2, -1, 1]
+        args[field] = bad
+        with pytest.raises(ValueError):
+            RealQuadElement(*args)
+
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("same", [3.0, "3"])
+    def test_integral_fields_are_converted(self, field, same):
+        args = [3, 3, 3]
+        args[field] = same
+        x = RealQuadElement(*args)
+        assert x == RealQuadElement(3, 3, 3) and type(x.d) is type(x.a) is type(x.b) is int
+
     def test_char_poly_sqrt2(self):
         x = RealQuadElement(2, -1, 1)  # -1 + sqrt(2)
         assert rm_char_poly(x).poly == parse_poly("1,-4,2,4,1")

@@ -170,6 +170,17 @@ class TestOneDecomposition:
         assert classify(e).verdict == verdict
         assert len(calls) == 1
 
+    def test_cli_input_decomposes_once(self, monkeypatch, capsys):
+        # the JSON input is not validated before the command runs its pass
+        calls = []
+        decompose = unitcircle.squarefree_decomposition
+        monkeypatch.setattr(unitcircle, "squarefree_decomposition",
+                            lambda p: calls.append(p) or decompose(p))
+        doc = '{"kind": "char_poly", "poly": "4,0,5,0,1"}'
+        assert main(["classify", "--input", doc]) == 0
+        assert capsys.readouterr().out.startswith("verdict: B3")
+        assert len(calls) == 1
+
     def test_counts_keep_the_cheap_check(self, monkeypatch):
         # fix counts need only the conjugate-pair rule, not the census
         e = quartic("4,0,5,0,1")

@@ -76,6 +76,20 @@ class TestSequenceCommand:
         )
         assert code == 1 and "force" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--charpoly", "1,-1,-1,-1,1"),
+        ("--matrix", "0,0,0,-1;1,0,0,1;0,1,0,1;0,0,1,1"),
+        ("--analytic", "1/2,0;0,0;0,0;1/2,0"),
+        ("--input", json.dumps({"kind": "char_poly", "poly": "1,-1,-1,-1,1"})),
+    ], ids=["charpoly", "matrix", "analytic", "input"])
+    def test_cap_comes_before_structure(self, capsys, flag, value):
+        # a structurally invalid or non-integral input over the cap exits 1
+        # on the cap, whichever flag carries it; under the cap it exits 2
+        code, _, err = run(capsys, "sequence", flag, value, "-n", str(10 ** 6 + 1))
+        assert code == 1 and "force" in err
+        code, _, err = run(capsys, "sequence", flag, value, "-n", "3")
+        assert code == 2 and err.split(":")[0] in ("InvalidStructureError", "NonIntegralError")
+
 
 class TestAlgebraCommand:
     def test_quaternion_classify(self, capsys):

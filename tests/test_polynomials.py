@@ -181,6 +181,15 @@ class TestRealRoots:
         assert iv.width <= Fraction(1, 10 ** 9)
         assert iv.lo ** 2 <= 2 <= iv.hi ** 2
 
+    def test_refine_root_bisects_the_polynomial_given(self):
+        # no square-free part is taken: an odd power bisects like its base,
+        # and an even power shows no sign change
+        base, bracket = poly(-2, 0, 1), RationalInterval(Fraction(1), Fraction(2))
+        width = Fraction(1, 2 ** 30)
+        assert refine_root(base * base * base, bracket, width) == refine_root(base, bracket, width)
+        with pytest.raises(ValueError, match="sign-change"):
+            refine_root(base * base, bracket, width)
+
     @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 4)])
     def test_refine_root_rejects_non_positive_width(self, width):
         # bisection never narrows an irrational root's bracket to width <= 0

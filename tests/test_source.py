@@ -19,19 +19,32 @@ def test_library_has_no_assert():
     assert not offenders, offenders
 
 
+def _library_uses(module, names):
+    """Where the library imports one of `names` from `module`, or reads it
+    as an attribute of `module` under any alias."""
+    nodes = list(_library_nodes())
+    aliases = {alias.asname or alias.name for _, node in nodes if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == module}
+    return [
+        f"{name}:{node.lineno}" for name, node in nodes
+        if (isinstance(node, ast.ImportFrom) and node.module == module
+            and any(alias.name in names for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    ]
+
+
 def test_library_has_no_unbounded_count():
     # itertools.count is an open-ended integer scan: no bound in the
     # input's bit size
-    nodes = list(_library_nodes())
-    modules = {alias.asname or alias.name for _, node in nodes if isinstance(node, ast.Import)
-               for alias in node.names if alias.name == "itertools"}
-    offenders = [
-        f"{name}:{node.lineno}" for name, node in nodes
-        if (isinstance(node, ast.ImportFrom) and node.module == "itertools"
-            and any(alias.name == "count" for alias in node.names))
-        or (isinstance(node, ast.Attribute) and node.attr == "count"
-            and isinstance(node.value, ast.Name) and node.value.id in modules)
-    ]
+    offenders = _library_uses("itertools", {"count"})
+    assert not offenders, offenders
+
+
+def test_library_has_no_memo_cache():
+    # a process-wide memo hides repeated work and holds polynomials for the
+    # life of the process: each result is computed where it is needed
+    offenders = _library_uses("functools", {"lru_cache", "cache", "cached_property"})
     assert not offenders, offenders
 
 
