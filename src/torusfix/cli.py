@@ -34,7 +34,6 @@ from .algebras import (
     rm_fix,
 )
 from .endomorphisms import (
-    MAX_ITERATE,
     AnalyticRep,
     RationalRep,
     char_poly_rational,
@@ -248,12 +247,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    e = _input_from_args(args)
-    if args.n_max > MAX_ITERATE and not args.force:
-        raise InputFormatError(
-            f"n_max {args.n_max} exceeds {MAX_ITERATE}; pass --force to override"
-        )
-    seq = fix_sequence(e, args.n_max, force=args.force)
+    seq = fix_sequence(_input_from_args(args), args.n_max)
     if args.json:
         print(json.dumps({"fix": seq}))
     else:
@@ -371,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="fix(f^n) for n = 1..n_max")
     _add_input_flags(p)
     p.add_argument("-n", "--n-max", dest="n_max", type=int, required=True)
-    p.add_argument("--force", action="store_true", help="allow n_max beyond the cap")
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("algebra", help="operate on simple-surface algebra elements")

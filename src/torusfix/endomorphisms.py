@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Iterator, Union
 
 from .errors import InvalidStructureError, NonIntegralError
-from .polynomials import IntPolynomial, T, _square_free_kernel, power_mod
+from .polynomials import IntPolynomial, _square_free_kernel, power_mod
 from .unitcircle import CharPolyQuartic, validate_conjugate_pair_structure
 
 # n is capped to bound coefficient growth (entries grow linearly in n times
@@ -229,7 +229,7 @@ def fix_count_quartic(p: IntPolynomial, n: int) -> int:
     r^3 is sum_l r_l * sum_m (r^2)_m s_(m+l), so r^3 is never formed.
     """
     c = _quartic_coeffs(p)
-    r = power_mod(T, n, p)
+    r = power_mod(n, p)
     r2 = r.square().coeffs
     s = _power_sums(c, 10)
 
@@ -266,10 +266,10 @@ def fix_values(p: IntPolynomial) -> Iterator[int]:
         yield _fix_from_power_sums(*sums, c0n)
 
 
-def fix_sequence(e: EndomorphismInput, n_max: int, force: bool = False) -> list[int]:
+def fix_sequence(e: EndomorphismInput, n_max: int) -> list[int]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > MAX_ITERATE and not force:
+    if n_max > MAX_ITERATE:
         raise ValueError(f"n_max exceeds the iterate cap {MAX_ITERATE}")
     p = char_poly_rational(e).poly
     return list(islice(fix_values(p), n_max))

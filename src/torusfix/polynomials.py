@@ -140,7 +140,6 @@ class IntPolynomial:
 
 
 ONE = IntPolynomial((1,))
-T = IntPolynomial((0, 1))
 
 
 # -- serialization ---------------------------------------------------------
@@ -496,23 +495,19 @@ def _square_free_kernel(n: int) -> int:
     return out if root * root == m else out * m
 
 
-def power_mod(base: IntPolynomial, n: int, modulus: IntPolynomial) -> IntPolynomial:
-    """base^n mod modulus for monic integer modulus (exact reduction).
+def power_mod(n: int, modulus: IntPolynomial) -> IntPolynomial:
+    """t^n mod modulus for monic integer modulus (exact reduction).
 
-    Left-to-right square-and-multiply, so the last step is a multiply and no
-    square is discarded; when the base is t, each multiply is a shift.
+    Left-to-right square-and-multiply from 1, where each multiply by t is a
+    shift; every step reduces, so any monic modulus works.
     """
     if not modulus.is_monic():
         raise ValueError("modulus must be monic")
     if n < 0:
         raise ValueError(f"exponent must be non-negative, got {n}")
-    if n == 0:
-        return ONE
-    base = poly_divmod(base, modulus)[1]
-    result = base
-    for bit in bin(n)[3:]:
+    result = ONE
+    for bit in bin(n)[2:]:
         result = poly_divmod(result.square(), modulus)[1]
         if bit == "1":
-            product = IntPolynomial((0, *result.coeffs)) if base == T else result * base
-            result = poly_divmod(product, modulus)[1]
+            result = poly_divmod(IntPolynomial((0, *result.coeffs)), modulus)[1]
     return result

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, Optional
 
 from .errors import InvalidEndomorphismError, InvalidStructureError
 from .intervals import RationalInterval, sqrt_interval
@@ -82,29 +83,46 @@ def validate_conjugate_pair_structure(P: CharPolyQuartic) -> None:
 
 # -- off-circle root groups ---------------------------------------------------
 
-# An enclosure maps a requested width to a rational interval around |mu|^2.
-Enclosure = Callable[[Fraction], RationalInterval]
-
 
 @dataclass(frozen=True)
-class _OffCircleFactor:
-    """What is left of one square-free factor of P once its root 0 and
-    its cyclotomic factors are divided out: roots off the circle only.
+class _Group:
+    """Roots of P off the circle that share one modulus, counted with
+    multiplicity; outside means |mu| > 1.
 
-    ``groups`` lists its roots as (count, outside) pairs, one per set of
-    roots sharing a modulus, counted with multiplicity; outside means
-    |mu| > 1.  ``enclosures`` makes one |mu|^2 enclosure per group.  The
-    enclosures keep bisection state, and the two pairs of a quartic factor
-    share the refinement of u*, so every consumer makes its own set: a
-    result then never depends on what another consumer refined before.
+    ``root`` indexes the isolated real root, in _Analysis.roots, whose
+    bracket the group narrows, or is None for a group that needs none.
+    ``msq`` maps that bracket (None without a root) and a width w to an
+    interval around |mu|^2, or to None while the bracket cannot tell yet.
     """
 
-    groups: tuple[tuple[int, bool], ...]
-    enclosures: Callable[[], list[Enclosure]]
+    count: int
+    outside: bool
+    root: Optional[int]
+    msq: Callable[[Optional[RationalInterval], Fraction], Optional[RationalInterval]]
 
 
-def _point(v: Fraction) -> Enclosure:
-    return lambda width: RationalInterval.point(v)
+def _square(iv: RationalInterval, w: Fraction) -> RationalInterval:
+    return iv * iv
+
+
+def _fixed(v: RationalInterval, iv: None, w: Fraction) -> RationalInterval:
+    return v
+
+
+def _equal_pairs(c0: Fraction, iv: None, w: Fraction) -> RationalInterval:
+    return sqrt_interval(RationalInterval.point(c0), w)
+
+
+def _pair(c0: Fraction, larger: bool, u_iv: RationalInterval, w: Fraction):
+    """m2^2 (larger) or m1^2 = c0 / m2^2 from a bracket of u* = m1^2 + m2^2:
+    m2^2 = (u* + sqrt(u*^2 - 4 c0)) / 2, or None while the discriminant's
+    bracket straddles 0."""
+    disc = u_iv * u_iv + RationalInterval.point(-4 * c0)
+    if disc.lo < 0 <= disc.hi:
+        return None
+    root = sqrt_interval(RationalInterval(max(disc.lo, Fraction(0)), disc.hi), w)
+    m2_iv = (u_iv + root).scale(Fraction(1, 2))
+    return m2_iv if larger else RationalInterval.point(c0) * m2_iv.reciprocal()
 
 
 def _resolvent_cubic(w: IntPolynomial) -> IntPolynomial:
@@ -119,17 +137,18 @@ def _resolvent_cubic(w: IntPolynomial) -> IntPolynomial:
     ))
 
 
-def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
+def _two_pair_groups(f: IntPolynomial, mult: int, roots: list) -> list[_Group]:
     """A square-free monic integer quartic with no real roots and no
     unit-circle roots: two conjugate pairs with moduli m1 <= m2.
 
     m1^2 + m2^2 is the largest real root u* of the resolvent cubic (the
     conjugate pairing dominates every other pairing's product sum), and
-    m1^2 * m2^2 = c0.  One isolating interval of u* answers both questions
-    below, and the enclosures start from it unrefined.  With mu, nu the
-    roots of the two pairs, the resolvent's roots differ by |mu - conj nu|^2,
-    |mu - nu|^2 and 4 Im mu Im nu, none zero for a square-free f, so the
-    resolvent is square-free and refine_root bisects it as it is.
+    m1^2 * m2^2 = c0.  One isolating interval of u*, appended to `roots`,
+    answers both questions below, and both groups narrow it.  With mu, nu
+    the roots of the two pairs, the resolvent's roots differ by
+    |mu - conj nu|^2, |mu - nu|^2 and 4 Im mu Im nu, none zero for a
+    square-free f, so the resolvent is square-free and refine_root bisects
+    it as it is.
     """
     c0 = Fraction(f.coeffs[0])
     res = _resolvent_cubic(f)
@@ -143,80 +162,35 @@ def _two_pair_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
         u_iv = refine_root(res, u_iv, u_iv.width / 4)
     if u_iv.lo == u_iv.hi == 1 + c0:
         raise InvalidEndomorphismError("unit-circle root escaped structural removal")
-    groups = ((2 * mult, u_iv.lo < 1 + c0), (2 * mult, True))
+    sides = ((2 * mult, u_iv.lo < 1 + c0), (2 * mult, True))
 
-    # m1 = m2 exactly when u* = 2 sqrt(c0).  For a rational u* the
-    # enclosures below find disc = u*^2 - 4 c0 = 0 and return the points
+    # m1 = m2 exactly when u* = 2 sqrt(c0).  For a rational u* the maps
+    # _pair find disc = u*^2 - 4 c0 = 0 and give the points
     # u*/2 = 2 c0/u* = sqrt(c0).  For an irrational u*, res(2 sqrt(c0)) = 0
     # forces both the even and the odd part of res to vanish at 4 c0, whence
     # res = (y^2 - 4 c0)(y - y') with y' rational, so u* > 0 is 2 sqrt(c0);
     # the test needs u* irrational, since u* = y' satisfies it too.
     r0, r1, r2, _ = res.coeffs
     if u_isolated.lo != u_isolated.hi and r0 + r2 * 4 * c0 == 0 and r1 + 4 * c0 == 0:
-
-        def enclosure_eq(width: Fraction) -> RationalInterval:
-            return sqrt_interval(RationalInterval.point(c0), width)
-
-        return _OffCircleFactor(groups, lambda: [enclosure_eq, enclosure_eq])
-
-    def enclosures() -> list[Enclosure]:
-        u_iv = u_isolated
-
-        def msq(which_larger: bool) -> Enclosure:
-            def enclosure(width: Fraction) -> RationalInterval:
-                nonlocal u_iv
-                w = width / 4
-                while True:
-                    u_iv = refine_root(res, u_iv, w)
-                    disc = u_iv * u_iv + RationalInterval.point(-4 * c0)
-                    if disc.lo < 0 <= disc.hi:
-                        w /= 4
-                        continue
-                    root = sqrt_interval(
-                        RationalInterval(max(disc.lo, Fraction(0)), disc.hi), w
-                    )
-                    m2_iv = (u_iv + root).scale(Fraction(1, 2))
-                    out = m2_iv if which_larger else (
-                        RationalInterval.point(c0) * m2_iv.reciprocal()
-                    )
-                    if out.width <= width:
-                        return out
-                    w /= 4
-
-            return enclosure
-
-        return [msq(False), msq(True)]
-
-    return _OffCircleFactor(groups, enclosures)
+        return [_Group(count, outside, None, partial(_equal_pairs, c0)) for count, outside in sides]
+    roots.append((res, u_isolated))
+    return [
+        _Group(count, outside, len(roots) - 1, partial(_pair, c0, larger))
+        for (count, outside), larger in zip(sides, (False, True))
+    ]
 
 
-def _real_root_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
+def _real_root_groups(f: IntPolynomial, mult: int, roots: list) -> list[_Group]:
     """The real roots of a square-free factor with no roots at 0 or on the
-    circle (so no root at +-1), each isolated away from -1, 0 and 1."""
-    isolated = []
+    circle (so no root at +-1), each isolated away from -1, 0 and 1 and
+    appended to `roots`."""
+    groups = []
     for iv in real_root_isolation(f):
         while any(iv.lo < c < iv.hi for c in (-1, 0, 1)):
             iv = refine_root(f, iv, iv.width / 4)
-        isolated.append(iv)
-
-    def enclosures() -> list[Enclosure]:
-        def msq(iv: RationalInterval) -> Enclosure:
-            def enclosure(width: Fraction) -> RationalInterval:
-                nonlocal iv
-                w = width / 4
-                while True:
-                    iv = refine_root(f, iv, w)
-                    sq = iv * iv
-                    if sq.width <= width:
-                        return sq
-                    w /= 4
-
-            return enclosure
-
-        return [msq(iv) for iv in isolated]
-
-    groups = tuple((mult, iv.lo >= 1 or iv.hi <= -1) for iv in isolated)
-    return _OffCircleFactor(groups, enclosures)
+        roots.append((f, iv))
+        groups.append(_Group(mult, iv.lo >= 1 or iv.hi <= -1, len(roots) - 1, _square))
+    return groups
 
 
 # -- one analysis per quartic -------------------------------------------------
@@ -225,31 +199,45 @@ def _real_root_factor(f: IntPolynomial, mult: int) -> _OffCircleFactor:
 @dataclass(frozen=True)
 class _Analysis:
     """The structure of one quartic's roots relative to the unit circle:
-    the zero count, the per-root unity orders of the circle roots, and the
-    off-circle part of each square-free factor."""
+    the zero count, the per-root unity orders of the circle roots, the
+    off-circle groups, and each isolated root a group narrows as its
+    square-free polynomial and isolating bracket.
+
+    Every consumer narrows its own copy of the brackets, fresh from
+    ``roots``, so a result never depends on what another consumer refined
+    before; the two groups of a two-pair factor share one bracket.
+    """
 
     n_zero: int
     orders: tuple[int, ...]
-    factors: tuple[_OffCircleFactor, ...]
+    roots: tuple[tuple[IntPolynomial, RationalInterval], ...]
+    groups: tuple[_Group, ...]
 
-    def _outside_enclosures(self) -> list[tuple[int, Enclosure]]:
-        return [
-            (count, enclosure)
-            for f in self.factors
-            for (count, outside), enclosure in zip(f.groups, f.enclosures())
-            if outside
-        ]
+    def _narrow(self, group: _Group, brackets: list, width: Fraction) -> RationalInterval:
+        """An interval of width at most `width` around the group's |mu|^2,
+        refining its root's bracket in `brackets` from w = width / 4 and
+        dividing w by 4 until the map's result is narrow enough."""
+        if group.root is None:
+            return group.msq(None, width)
+        f = self.roots[group.root][0]
+        w = width / 4
+        while True:
+            brackets[group.root] = refine_root(f, brackets[group.root], w)
+            out = group.msq(brackets[group.root], w)
+            if out is not None and out.width <= width:
+                return out
+            w /= 4
 
     def census(self, enclosure_width: Fraction) -> EigenvalueClassification:
-        n_less = sum(c for f in self.factors for c, outside in f.groups if not outside)
+        brackets = [iv for _, iv in self.roots]
         outside_moduli = tuple(
             iv
-            for count, enclosure in self._outside_enclosures()
-            for iv in [enclosure(enclosure_width)] * count
+            for g in self.groups if g.outside
+            for iv in [self._narrow(g, brackets, enclosure_width)] * g.count
         )
         return EigenvalueClassification(
             n_zero=self.n_zero,
-            n_less=n_less,
+            n_less=sum(g.count for g in self.groups if not g.outside),
             n_on=len(self.orders),
             n_more=len(outside_moduli),
             unity_orders=self.orders,
@@ -268,15 +256,16 @@ class _Analysis:
 
     def _mahler_sq(self, width: Fraction) -> RationalInterval:
         """Enclosure of M^2 = prod over outside roots of |mu|^2."""
-        outside = self._outside_enclosures()
+        outside = [g for g in self.groups if g.outside]
         if not outside:
             return RationalInterval.point(1)
+        brackets = [iv for _, iv in self.roots]
         target = width
         while True:
             out = RationalInterval.point(1)
             per_group = target / (4 * len(outside))
-            for count, enclosure in outside:
-                out = out * enclosure(per_group).intpow(count)
+            for g in outside:
+                out = out * self._narrow(g, brackets, per_group).intpow(g.count)
             if out.width <= width:
                 return out
             target /= 4
@@ -296,10 +285,10 @@ def _analyze(P: CharPolyQuartic) -> _Analysis:
     polynomial of degree 4 with a real reciprocal pair of simple roots off
     the circle, which the rule rejects.  What is left of f has no roots at
     0 or on the circle: real roots, one complex pair, or two pairs.  The
-    factors come in ascending multiplicity, and so do the off-circle parts.
+    factors come in ascending multiplicity, and so do the groups.
     """
     p = P.poly
-    n_zero, orders, factors = 0, [], []
+    n_zero, orders, roots, groups = 0, [], [], []
     for f, mult in squarefree_decomposition(p):
         _require_conjugate_pairs(p, f, mult)
         if f.coeffs[0] == 0:
@@ -318,13 +307,14 @@ def _analyze(P: CharPolyQuartic) -> _Analysis:
         # one of odd multiplicity has none; the others have one or two
         # complex pairs
         if mult % 2 == 0 and count_real_roots(f):
-            factors.append(_real_root_factor(f, mult))
+            groups += _real_root_groups(f, mult, roots)
         elif f.degree == 2:
             c0 = Fraction(f.coeffs[0], f.coeffs[2])
-            factors.append(_OffCircleFactor(((2 * mult, c0 > 1),), lambda _e=_point(c0): [_e]))
+            point = partial(_fixed, RationalInterval.point(c0))
+            groups.append(_Group(2 * mult, c0 > 1, None, point))
         else:
-            factors.append(_two_pair_factor(f, mult))
-    return _Analysis(n_zero, tuple(sorted(orders)), tuple(factors))
+            groups += _two_pair_groups(f, mult, roots)
+    return _Analysis(n_zero, tuple(sorted(orders)), tuple(roots), tuple(groups))
 
 
 def count_roots_by_modulus(

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -103,7 +104,7 @@ def circle_split(P: CharPolyQuartic):
 class TestUnitCircleFactor:
     def test_all_roots_on_circle(self):
         analysis = _analyze(quartic("1,-2,3,-2,1"))
-        assert analysis.orders == (6, 6, 6, 6) and analysis.factors == ()
+        assert analysis.orders == (6, 6, 6, 6) and analysis.groups == ()
         assert circle_split(quartic("1,-2,3,-2,1")) == (0, (6, 6, 6, 6), 4, 0, [])
 
     def test_no_roots_on_circle(self):
@@ -345,3 +346,124 @@ class TestMahlerMeasure:
             iv = mahler_measure_interval(P, Fraction(1, 2 ** 16))
             assert iv.width <= Fraction(1, 2 ** 16)
             assert float(iv.lo) - 1e-4 <= m <= float(iv.hi) + 1e-4
+
+
+# Certificates pinned to the last digit, one quartic per kind of off-circle
+# group: two pairs with one inside, two pairs both outside (both groups
+# narrow one shared u*), equal moduli with an irrational u*, a squared real
+# quadratic, squared integer roots (point enclosures), a squared complex
+# quadratic (the point c0), and B3.  Each entry holds classify's JSON, then
+# the outside |mu|^2 enclosures and the Mahler measure enclosure at width
+# 1/3^13.
+GOLDEN_CERTIFICATES = [
+    pytest.param(
+        "3,1,5,2,1",
+        '{"verdict": "B1", "eigen": {"n_zero": 0, "n_less": 2, "n_on": 0, "n_more": 2, '
+        '"unity_orders": [], "outside_moduli_squared": [["37864247/8388608", '
+        '"151456997/33554432"], ["37864247/8388608", "151456997/33554432"]]}, '
+        '"growth_base": ["4733031/1048576", "9466063/2097152"]}',
+        [
+            ("302913983/67108864", "37864249/8388608"),
+            ("302913983/67108864", "37864249/8388608"),
+        ],
+        ("4733031/1048576", "18932125/4194304"),
+        id="two-pairs-one-inside",
+    ),
+    pytest.param(
+        "10,2,5,1,1",
+        '{"verdict": "B1", "eigen": {"n_zero": 0, "n_less": 0, "n_on": 0, "n_more": 4, '
+        '"unity_orders": [], "outside_moduli_squared": [["21474836480/7866807543", '
+        '"5368709120/1966701487"], ["21474836480/7866807543", "5368709120/1966701487"], '
+        '["1966701487/536870912", "7866807543/2147483648"], ["1966701487/536870912", '
+        '"7866807543/2147483648"]]}, "growth_base": ["20971519/2097152", '
+        '"20971521/2097152"]}',
+        [
+            ("42949672960/15733613491", "5368709120/1966701487"),
+            ("42949672960/15733613491", "5368709120/1966701487"),
+            ("1966701487/536870912", "15733613491/4294967296"),
+            ("1966701487/536870912", "15733613491/4294967296"),
+        ],
+        ("41943039/4194304", "41943041/4194304"),
+        id="two-pairs-both-outside",
+    ),
+    pytest.param(
+        "2,0,0,0,1",
+        '{"verdict": "B1", "eigen": {"n_zero": 0, "n_less": 0, "n_on": 0, "n_more": 4, '
+        '"unity_orders": [], "outside_moduli_squared": [["741455/524288", '
+        '"2965821/2097152"], ["741455/524288", "2965821/2097152"], ["741455/524288", '
+        '"2965821/2097152"], ["741455/524288", "2965821/2097152"]]}, "growth_base": '
+        '["4194303/2097152", "4194305/2097152"]}',
+        [
+            ("5931641/4194304", "2965821/2097152"),
+            ("5931641/4194304", "2965821/2097152"),
+            ("5931641/4194304", "2965821/2097152"),
+            ("5931641/4194304", "2965821/2097152"),
+        ],
+        ("8388607/4194304", "8388609/4194304"),
+        id="equal-moduli",
+    ),
+    pytest.param(
+        "1,-6,11,-6,1",
+        '{"verdict": "B1", "eigen": {"n_zero": 0, "n_less": 2, "n_on": 0, "n_more": 2, '
+        '"unity_orders": [], "outside_moduli_squared": '
+        '[["1929258127669041/281474976710656", "482314553878921/70368744177664"], '
+        '["1929258127669041/281474976710656", "482314553878921/70368744177664"]]}, '
+        '"growth_base": ["14374093/2097152", "7187047/1048576"]}',
+        [
+            ("30144656872225/4398046511104", "482314553878921/70368744177664"),
+            ("30144656872225/4398046511104", "482314553878921/70368744177664"),
+        ],
+        ("28748187/4194304", "7187047/1048576"),
+        id="squared-real-quadratic",
+    ),
+    pytest.param(
+        "36,-60,37,-10,1",
+        '{"verdict": "B1", "eigen": {"n_zero": 0, "n_less": 0, "n_on": 0, "n_more": 4, '
+        '"unity_orders": [], "outside_moduli_squared": [["4", "4"], ["4", "4"], ["9", "9"], '
+        '["9", "9"]]}, "growth_base": ["36", "36"]}',
+        [
+            ("4", "4"),
+            ("4", "4"),
+            ("9", "9"),
+            ("9", "9"),
+        ],
+        ("36", "36"),
+        id="squared-integer-roots",
+    ),
+    pytest.param(
+        "9,6,7,2,1",
+        '{"verdict": "B1", "eigen": {"n_zero": 0, "n_less": 0, "n_on": 0, "n_more": 4, '
+        '"unity_orders": [], "outside_moduli_squared": [["3", "3"], ["3", "3"], ["3", "3"], '
+        '["3", "3"]]}, "growth_base": ["9", "9"]}',
+        [
+            ("3", "3"),
+            ("3", "3"),
+            ("3", "3"),
+            ("3", "3"),
+        ],
+        ("9", "9"),
+        id="squared-complex-quadratic",
+    ),
+    pytest.param(
+        "3,1,4,1,1",
+        '{"verdict": "B3", "eigen": {"n_zero": 0, "n_less": 0, "n_on": 2, "n_more": 2, '
+        '"unity_orders": [4, 4], "outside_moduli_squared": [["3", "3"], ["3", "3"]]}, '
+        '"growth_base": ["3", "3"], "r": 4}',
+        [
+            ("3", "3"),
+            ("3", "3"),
+        ],
+        ("3", "3"),
+        id="b3",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, report, moduli, mahler", GOLDEN_CERTIFICATES)
+def test_golden_certificates(text, report, moduli, mahler):
+    P, width = quartic(text), Fraction(1, 3 ** 13)
+    assert json.dumps(classify(P).to_dict()) == report
+    census = count_roots_by_modulus(P, width)
+    assert [(str(iv.lo), str(iv.hi)) for iv in census.outside_moduli] == moduli
+    iv = mahler_measure_interval(P, width)
+    assert (str(iv.lo), str(iv.hi)) == mahler

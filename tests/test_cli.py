@@ -74,7 +74,14 @@ class TestSequenceCommand:
         code, _, err = run(
             capsys, "sequence", "--charpoly", "1,-2,3,-2,1", "-n", str(10 ** 6 + 1)
         )
-        assert code == 1 and "force" in err
+        assert code == 1 and err.startswith("error: n_max exceeds the iterate cap 1000000")
+
+    def test_force_is_rejected(self, capsys):
+        # there is no way past the cap
+        code, out, _ = run(
+            capsys, "sequence", "--charpoly", "1,-2,3,-2,1", "-n", "3", "--force"
+        )
+        assert code == 1 and out == ""
 
     @pytest.mark.parametrize("flag, value", [
         ("--charpoly", "1,-1,-1,-1,1"),
@@ -86,7 +93,7 @@ class TestSequenceCommand:
         # a structurally invalid or non-integral input over the cap exits 1
         # on the cap, whichever flag carries it; under the cap it exits 2
         code, _, err = run(capsys, "sequence", flag, value, "-n", str(10 ** 6 + 1))
-        assert code == 1 and "force" in err
+        assert code == 1 and err.startswith("error: n_max exceeds the iterate cap")
         code, _, err = run(capsys, "sequence", flag, value, "-n", "3")
         assert code == 2 and err.split(":")[0] in ("InvalidStructureError", "NonIntegralError")
 

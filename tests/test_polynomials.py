@@ -278,7 +278,7 @@ class TestMisc:
 
     def test_power_mod_matches_remainder(self):
         p = poly(1, -1, 1, 0, 1)
-        tn = power_mod(T, 37, p)
+        tn = power_mod(37, p)
         naive = T
         for _ in range(36):
             naive = naive * T
