@@ -26,7 +26,7 @@ from .errors import (
     ZeroEndomorphismError,
     ZeroNormError,
 )
-from .endomorphisms import AnalyticRep, RationalRep, charpoly_frac, exact_int, fix_count
+from .endomorphisms import AnalyticRep, RationalRep, charpoly_int_matrix, exact_int, fix_count
 from .intervals import is_square_rational
 from .polynomials import (
     IntPolynomial,
@@ -68,17 +68,6 @@ def _omega_trace_norm(d: int) -> tuple[int, int]:
     if d % 4 == 1:
         return 1, (1 - d) // 4
     return 0, -d
-
-
-def rm_eigenvalues(x: RealQuadElement) -> tuple[tuple[Fraction, Fraction, int], ...]:
-    """The two analytic eigenvalues as (u, v, d) meaning u + v*sqrt(d)."""
-    if x.d % 4 == 1:
-        u = Fraction(2 * x.a + x.b, 2)
-        v = Fraction(x.b, 2)
-    else:
-        u = Fraction(x.a)
-        v = Fraction(x.b)
-    return ((u, v, x.d), (u, -v, x.d))
 
 
 def rm_char_poly(x: RealQuadElement) -> CharPolyQuartic:
@@ -190,26 +179,6 @@ def quat_reduced_charpoly(x: QuaternionElement) -> IntPolynomial:
             f"element has trace {tr}, norm {nrm}: not in an order"
         )
     return IntPolynomial((int(nrm), -int(tr), 1))
-
-
-@dataclass(frozen=True)
-class QuatRootData:
-    """The roots t_i = a +- sqrt(disc) of the reduced char poly, with
-    disc = b^2 alpha + c^2 beta - d^2 alpha beta = a^2 - N(x)."""
-
-    disc: Fraction
-    kind: str  # "rational" | "real_quadratic" | "complex_pair"
-    t_pair: str
-
-
-def quat_root_data(x: QuaternionElement) -> QuatRootData:
-    disc = x.a ** 2 - quat_reduced_norm(x)
-    root = is_square_rational(disc)
-    if root is not None:
-        return QuatRootData(disc, "rational", f"{x.a + root} and {x.a - root}")
-    if disc > 0:
-        return QuatRootData(disc, "real_quadratic", f"{x.a} +- sqrt({disc})")
-    return QuatRootData(disc, "complex_pair", f"{x.a} +- sqrt({disc})")
 
 
 def quat_char_poly(x: QuaternionElement) -> CharPolyQuartic:
@@ -383,13 +352,17 @@ def _multiplication_matrix(x: CMElement):
 
 def cm_char_poly(x: CMElement) -> CharPolyQuartic:
     """The norm form N(t - x): the characteristic polynomial of the
-    multiplication-by-x matrix; integral exactly for elements of an order."""
-    coeffs = charpoly_frac(_multiplication_matrix(x))
-    if any(c.denominator != 1 for c in coeffs):
+    multiplication-by-x matrix; integral exactly for elements of an order.
+    With D the common denominator of the matrix, the coefficient of t^i is
+    that of the integer matrix D x over D^(4-i)."""
+    mat = _multiplication_matrix(x)
+    den = math.lcm(*(c.denominator for row in mat for c in row))
+    coeffs = charpoly_int_matrix([[int(c * den) for c in row] for row in mat]).coeffs
+    if any(c % den ** (4 - i) for i, c in enumerate(coeffs)):
         raise NonIntegralError(
             f"norm form of {x.coords} has non-integer coefficients"
         )
-    return CharPolyQuartic(IntPolynomial([int(c) for c in coeffs]))
+    return CharPolyQuartic(IntPolynomial([c // den ** (4 - i) for i, c in enumerate(coeffs)]))
 
 
 def cm_fix(x: CMElement, n: int) -> int:

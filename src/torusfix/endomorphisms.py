@@ -105,38 +105,17 @@ EndomorphismInput = Union[RationalRep, AnalyticRep, CharPolyQuartic, "object"]
 # -- exact linear algebra -----------------------------------------------------
 
 
-def mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def charpoly_frac(m) -> list[Fraction]:
-    """Monic characteristic polynomial of a square matrix over Q
-    (Faddeev-LeVerrier), ascending coefficients."""
-    n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    a = tuple(tuple(Fraction(x) for x in row) for row in m)
-    mk = a
-    c = Fraction(1)
+def charpoly_int_matrix(m) -> IntPolynomial:
+    """Monic characteristic polynomial of a square integer matrix
+    (Faddeev-LeVerrier), ascending coefficients.  The coefficients are
+    integers, so each division of a trace by k is exact."""
+    n, mk, coeffs = len(m), m, [1]
     for k in range(1, n + 1):
         if k > 1:
-            mk = mat_mul(a, tuple(
-                tuple(mk[i][j] + (c if i == j else 0) for j in range(n))
-                for i in range(n)
-            ))
-        c = -sum(mk[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-    return coeffs
-
-
-def charpoly_int_matrix(m) -> IntPolynomial:
-    coeffs = charpoly_frac(m)
-    if any(c.denominator != 1 for c in coeffs):
-        raise NonIntegralError(f"char poly coefficients {coeffs} are not integers")
-    return IntPolynomial([int(c) for c in coeffs])
+            mk = [[sum(m[i][l] * (mk[l][j] + (coeffs[0] if l == j else 0)) for l in range(n))
+                   for j in range(n)] for i in range(n)]
+        coeffs.insert(0, -sum(mk[i][i] for i in range(n)) // k)
+    return IntPolynomial(coeffs)
 
 
 # -- characteristic polynomial of the rational representation ----------------

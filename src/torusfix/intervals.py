@@ -28,9 +28,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __add__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)
 

@@ -4,15 +4,18 @@ Coefficients are stored ascending, so ``IntPolynomial((1, -1, 1))`` is
 t^2 - t + 1.  The degrees occurring in this package never exceed ~20, so
 the dense representation is deliberate.  Serialization format (shared by
 the CLI and test fixtures): comma-separated ascending coefficients,
-e.g. ``"1,-1,1"``.  Division, gcds, Sturm chains and square-free parts
-are integer computations (pseudo-remainders).  So are root isolation and
-refinement: a real-root bracket is kept as integer numerators a, b over one
-shared positive denominator d, signs come from integer Horner on
-d^deg q(a/d), and a bisection step doubles a, b and d and takes a + b as the
-midpoint.  A bracket becomes a pair of Fractions only on output.  No
-function here keeps a cache: each call computes its square-free parts and
-Sturm chains afresh, and ``refine_root`` bisects the square-free
-polynomial it is given.
+e.g. ``"1,-1,1"``.  Division, Sturm chains and square-free parts are
+integer computations (pseudo-remainders).  The Sturm chain is the one
+remainder sequence run on a polynomial: its last term is gcd(p, p') up to
+a constant, so it gives the square-free part with no separate gcd, and
+``real_root_isolation`` searches a monic square-free polynomial's rational
+roots and isolates its other real roots on that same chain.  Isolation
+and refinement are integer computations too: a real-root bracket is kept
+as integer numerators a, b over one shared positive denominator d, signs
+come from integer Horner on d^deg q(a/d), and a bisection step doubles a, b
+and d and takes a + b as the midpoint.  A bracket becomes a pair of
+Fractions only on output.  No function here keeps a cache, and
+``refine_root`` bisects the square-free polynomial it is given.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import InvalidStructureError
 from .intervals import RationalInterval
@@ -194,17 +197,6 @@ def _primitive_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial([c // g for c in rem.coeffs])
 
 
-def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Q, positive leading coefficient, by the
-    primitive integer remainder sequence."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, _primitive_remainder(a, b)
-    return a.primitive()
-
-
 _CYCLOTOMIC_TABLE = {
     1: (-1, 1),
     2: (1, 1),
@@ -247,9 +239,19 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'), primitive with positive leading coefficient."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return ONE
-    return p.divexact(poly_gcd(p, p.derivative())).primitive()
+    return _square_free(p)[0]
+
+
+def _square_free(p: IntPolynomial) -> tuple[IntPolynomial, Optional[list[IntPolynomial]]]:
+    """p's square-free part w, primitive with positive leading coefficient,
+    and w's Sturm chain, or None when p is not square-free.  The chain of
+    p's primitive part q ends in gcd(q, q') up to a constant: w is q over
+    it, and a constant last term makes w = q, whose chain this is."""
+    q = p.primitive()
+    chain = sturm_chain(q)
+    if chain[-1].degree <= 0:
+        return q, chain
+    return q.divexact(chain[-1].primitive()), None
 
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -276,6 +278,8 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """p, p' and the negated primitive remainders: up to sign, the remainder
+    sequence of p and p', whose last term is their gcd up to a constant."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         rem = _primitive_remainder(chain[-2], chain[-1])
@@ -328,25 +332,28 @@ def count_real_roots(p: IntPolynomial) -> int:
     return sturm_count(p, RationalInterval(-b, b))
 
 
-def _isolating_brackets(chain: list[IntPolynomial], a: int, b: int,
+def _isolating_brackets(chain: list[IntPolynomial], w: IntPolynomial,
+                        rationals: list[tuple[int, int]], a: int, b: int,
                         d: int) -> list[tuple[int, int, int]]:
-    """Brackets (a', b', d') around the roots of chain[0] in (a/d, b/d],
-    each holding one root and a sign change, by bisection: a midpoint
-    (a + b) / 2d is a + b over the doubled denominator, and so the same
-    rational as (lo + hi) / 2.  Each node carries the Sturm variations at
-    its endpoints, so every midpoint is evaluated once."""
-    coeffs = chain[0].coeffs
+    """Brackets (a', b', d') around the roots of w in (a/d, b/d], each
+    holding one root and a sign change of w, by bisection at a + b over the
+    doubled denominator, the same rational as (lo + hi) / 2.  `chain` is the
+    Sturm chain of w times den t - num for each num/den in `rationals`: a
+    node holds its Sturm count less the rationals inside it, as the chain's
+    variations at a rational root are those just right of it.  Each node
+    carries the Sturm variations at its endpoints, so every midpoint is
+    evaluated once."""
     out = []
     stack = [(a, b, d, _sign_variations(chain, a, d), _sign_variations(chain, b, d))]
     while stack:
         a, b, d, v_a, v_b = stack.pop()
-        n = v_a - v_b
+        n = v_a - v_b - sum(a * den < num * d <= b * den for num, den in rationals)
         if n == 0:
             continue
-        if n == 1 and _sign_at(coeffs, a, d) * _sign_at(coeffs, b, d) < 0:
+        if n == 1 and _sign_at(w.coeffs, a, d) * _sign_at(w.coeffs, b, d) < 0:
             out.append((a, b, d))
             continue
-        mid = a + b  # chain[0] has no rational root, so it is non-zero here
+        mid = a + b  # w has no rational root, so it is non-zero here
         v_mid = _sign_variations(chain, mid, 2 * d)
         stack.append((2 * a, mid, 2 * d, v_a, v_mid))
         stack.append((mid, 2 * b, 2 * d, v_mid, v_b))
@@ -358,19 +365,24 @@ def real_root_isolation(p: IntPolynomial) -> list[RationalInterval]:
 
     Rational roots are returned as degenerate point intervals; irrational
     roots as (lo, hi] brackets with a sign change of the square-free part.
-    The bisection runs on integer numerators over a shared denominator;
-    the brackets become Fractions only on output.
+    The square-free part w gets one Sturm chain (for a square-free p, the
+    one that gave the gcd); the isolation of the roots left once the
+    rational ones are divided out runs on it, and so does the rational
+    search for a monic w.  The bisection runs on integer numerators over a
+    shared denominator; the brackets become Fractions only on output.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    w = square_free_part(p)
-    rationals = rational_roots(w)
+    w, chain = _square_free(p)
+    chain = chain or sturm_chain(w)
+    rationals = _rational_roots(w, chain)
     out: list[RationalInterval] = [RationalInterval.point(r) for r in rationals]
-    for r in rationals:
-        w = w.divexact(IntPolynomial((-r.numerator, r.denominator)))
+    pairs = [(r.numerator, r.denominator) for r in rationals]
+    for num, den in pairs:
+        w = w.divexact(IntPolynomial((-num, den)))
     if w.degree > 0:
         b = cauchy_bound(w)
-        for lo, hi, d in _isolating_brackets(sturm_chain(w), *_bracket(-b, b)):
+        for lo, hi, d in _isolating_brackets(chain, w, pairs, *_bracket(-b, b)):
             iv = RationalInterval(Fraction(lo, d), Fraction(hi, d))
             # shrink until no rational root of p sits inside the bracket
             while any(iv.lo <= r <= iv.hi for r in rationals):
@@ -425,27 +437,33 @@ def refine_root(p: IntPolynomial, interval: RationalInterval,
 
 
 def rational_roots(p: IntPolynomial) -> list[Fraction]:
-    """All rational roots (distinct, sorted) of a non-zero integer polynomial.
+    """All rational roots (distinct, sorted) of a non-zero integer polynomial."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    return _rational_roots(*_square_free(p))
+
+
+def _rational_roots(w: IntPolynomial, chain: Optional[list[IntPolynomial]]) -> list[Fraction]:
+    """The rational roots (distinct, sorted) of a square-free w with positive
+    leading coefficient, given w's Sturm chain or None.
 
     With a the leading coefficient and d the degree of the part q without
     the root 0, x is a root of q exactly when y = a*x is a root of the monic
-    Q(y) = a^(d-1) q(y/a), whose rational roots are integers.  Sturm counts
-    of Q's square-free part over integer intervals inside the Cauchy bound
-    bisect down to those integers, in time polynomial in the bit size.
+    square-free Q(y) = a^(d-1) q(y/a), whose rational roots are integers.
+    Sturm counts of Q over integer intervals inside the Cauchy bound bisect
+    down to those integers, in time polynomial in the bit size.  A monic w
+    without the root 0 is its own Q and is searched with its own chain.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    k = p.trailing_zero_count()
+    k = w.trailing_zero_count()
     roots = [Fraction(0)] if k else []
-    q = IntPolynomial(p.coeffs[k:])
+    q = IntPolynomial(w.coeffs[k:])
     if q.degree == 0:
         return roots
     a, d = q.leading, q.degree
-    w = square_free_part(IntPolynomial(
-        [c * a ** (d - 1 - i) for i, c in enumerate(q.coeffs[:-1])] + [1]
-    ))
-    chain = sturm_chain(w)
-    b = math.ceil(cauchy_bound(w))
+    monic = IntPolynomial([c * a ** (d - 1 - i) for i, c in enumerate(q.coeffs[:-1])] + [1])
+    if monic != w or chain is None:
+        chain = sturm_chain(monic)
+    b = math.ceil(cauchy_bound(monic))
     # integer (lo, hi] and the Sturm variations at both; every real root lies strictly inside
     stack = [(-b, b, _sign_variations(chain, -b, 1), _sign_variations(chain, b, 1))]
     while stack:
@@ -453,7 +471,7 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
         if v_lo == v_hi:
             continue
         if hi - lo == 1:
-            if w(hi) == 0:
+            if monic(hi) == 0:
                 roots.append(Fraction(hi, a))
             continue
         mid = (lo + hi) // 2

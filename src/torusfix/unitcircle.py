@@ -304,10 +304,10 @@ def _analyze(P: CharPolyQuartic) -> _Analysis:
         if f.degree <= 0:
             continue
         # by the rule a factor with a real root has only real roots, and
-        # one of odd multiplicity has none; the others have one or two
-        # complex pairs
-        if mult % 2 == 0 and count_real_roots(f):
-            groups += _real_root_groups(f, mult, roots)
+        # one of odd multiplicity has none; the others, where the isolation
+        # finds nothing, have one or two complex pairs
+        if mult % 2 == 0 and (real := _real_root_groups(f, mult, roots)):
+            groups += real
         elif f.degree == 2:
             c0 = Fraction(f.coeffs[0], f.coeffs[2])
             point = partial(_fixed, RationalInterval.point(c0))

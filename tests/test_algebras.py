@@ -23,11 +23,9 @@ from torusfix.algebras import (
     quat_one_root_periodicity_criterion,
     quat_reduced_charpoly,
     quat_reduced_norm,
-    quat_root_data,
     quaternion_element,
     rm_char_poly,
     rm_classify,
-    rm_eigenvalues,
     rm_fix,
     sl2_family,
 )
@@ -90,10 +88,6 @@ class TestRealQuadratic:
         x = RealQuadElement(5, 0, 1)  # (1 + sqrt(5)) / 2
         assert rm_char_poly(x).poly == parse_poly("1,2,-1,-2,1")
 
-    def test_eigenvalues_are_embeddings(self):
-        (u1, v1, d1), (u2, v2, d2) = rm_eigenvalues(RealQuadElement(2, -1, 1))
-        assert (u1, v1, d1) == (-1, 1, 2) and (u2, v2) == (-1, -1)
-
     def test_norm_growth(self):
         x = RealQuadElement(2, -1, 1)
         assert [rm_fix(x, n) for n in (1, 2, 3)] == [4, 16, 196]
@@ -128,10 +122,6 @@ class TestQuaternionBasics:
     def test_reduced_charpoly_integrality(self):
         with pytest.raises(NonIntegralError):
             quat_reduced_charpoly(quaternion_element(3, 2, Fraction(1, 2), 0, 0, 0))
-
-    def test_root_data(self):
-        data = quat_root_data(quaternion_element(5, 4, 3, 0, 1, 0))
-        assert data.kind == "rational" and data.disc == 4
 
     def test_quartic_is_square_of_reduced(self):
         x = quaternion_element(3, 2, 1, 1, 1, 0)

@@ -113,7 +113,7 @@ class TestCertificates:
         P = quartic("16,-32,24,-8,1")
         r = classify(P)
         seq = fix_sequence(P, 20)
-        base = float(r.growth_base.midpoint())
+        base = float((r.growth_base.lo + r.growth_base.hi) / 2)
         ratio = math.log(seq[19]) / (20 * math.log(base))
         assert 0.95 <= ratio <= 1.05
 

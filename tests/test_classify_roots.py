@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfix import behavior, unitcircle
+from torusfix import behavior, polynomials, unitcircle
+from torusfix.algebras import RealQuadElement, rm_classify
 from torusfix.behavior import classify, mahler_measure_interval, verify_b3_pattern
 from torusfix.cli import main
 from torusfix.endomorphisms import RationalRep, fix_count, fix_sequence
@@ -27,7 +28,7 @@ from torusfix.unitcircle import (
 )
 
 from oracles import SchurCohnDegenerate, schur_cohn_inside
-from util import random_valid_quartic
+from util import random_analytic_rep, random_valid_quartic
 
 
 def quartic(text: str) -> CharPolyQuartic:
@@ -196,6 +197,30 @@ class TestOneDecomposition:
         assert verify_b3_pattern(e, report, 40)
         with pytest.raises(InvalidStructureError, match=INVALID_MESSAGE):
             fix_count(quartic("1,-1,-1,-1,1"), 1)
+
+
+class TestOneChain:
+    """The Sturm chain is the one remainder sequence run on a polynomial: it
+    gives the gcd with the derivative, and a square-free polynomial's
+    rational search and isolation share it."""
+
+    @pytest.mark.parametrize("make, chains", [
+        # 50 analytic inputs: for most, the decomposition's chain of P, the
+        # conjugate-pair count on P and one chain of the resolvent cubic
+        (lambda: [classify(random_analytic_rep(rng)) for rng in [random.Random(5)] for _ in range(50)],
+         151),
+        (lambda: [rm_classify(RealQuadElement(*x)) for x in
+                  [(2, -1, 1), (5, 0, 1), (2, 3, 0), (2, 1, 0), (3, 2, 1), (13, 1, 2)]], 21),
+        # (t - 2)^2 Phi_4: two levels of the decomposition, the count on
+        # Phi_4 and one chain for t - 2, whose root search shares it
+        (lambda: [classify(quartic("4,-4,5,-4,1"))], 4),
+    ], ids=["analytic", "rm", "b3"])
+    def test_remainder_sequences_per_classify(self, monkeypatch, make, chains):
+        calls = []
+        chain = polynomials.sturm_chain
+        monkeypatch.setattr(polynomials, "sturm_chain", lambda p: calls.append(p) or chain(p))
+        assert all(r.verdict in ("B1", "B2", "B3") for r in make())
+        assert len(calls) == chains
 
 
 class TestSchurCohn:

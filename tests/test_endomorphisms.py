@@ -19,7 +19,7 @@ from torusfix.errors import InvalidStructureError, NonIntegralError
 from torusfix.polynomials import IntPolynomial, parse_poly
 from torusfix.unitcircle import CharPolyQuartic
 
-from oracles import det_fix, fix_resultant
+from oracles import bareiss_det, det_fix, fix_resultant
 from util import random_int_matrix, random_valid_quartic
 
 
@@ -56,6 +56,17 @@ class TestCharPoly:
             [0, 0, 1, 0],
         ]
         assert charpoly_int_matrix(companion) == p
+
+    @given(st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_charpoly_matches_determinants(self, entries):
+        # a monic quartic is pinned by its values at five points, here
+        # det(tI - A) by fraction-free elimination
+        a = [entries[4 * i:4 * i + 4] for i in range(4)]
+        p = charpoly_int_matrix(a)
+        assert p.degree == 4 and p.is_monic()
+        for t in range(-2, 3):
+            assert p(t) == bareiss_det([[t * (i == j) - a[i][j] for j in range(4)] for i in range(4)])
 
     def test_scalar(self):
         assert char_poly_rational(scalar_rep(2)).poly == parse_poly("16,-32,24,-8,1")

@@ -14,7 +14,6 @@ from torusfix.polynomials import (
     cyclotomic,
     parse_poly,
     poly_divmod,
-    poly_gcd,
     power_mod,
     rational_roots,
     real_root_isolation,
@@ -111,12 +110,15 @@ class TestGcdResultant:
     def test_resultant_zero_iff_common_factor(self, p, q):
         if p.degree == 0 or q.degree == 0:
             return
-        shared = poly_gcd(p, q).degree > 0
+        shared = len(fraction_gcd(p, q)) > 1
         assert (sylvester_resultant(p.coeffs, q.coeffs) == 0) == shared
 
     def test_gcd_positive_leading(self):
-        g = poly_gcd(poly(-2, 0, 2), poly(-2, 2))
-        assert g == poly(-1, 1)
+        # 2t^3 - 2t^2 - 2t + 2 = 2 (t - 1)^2 (t + 1): the chain ends in a
+        # multiple of t - 1 and the square-free part is t^2 - 1
+        p = poly(2, -2, -2, 2)
+        assert sturm_chain(p)[-1].primitive() == poly(-1, 1)
+        assert square_free_part(p) == square_free_part(-p) == poly(-1, 0, 1)
 
 
 class TestCyclotomic:
@@ -334,9 +336,12 @@ class TestIntegerCore:
     @given(repeated_factor_polys(4), repeated_factor_polys(4), repeated_factor_polys(4))
     @settings(max_examples=200, deadline=None)
     def test_gcd_matches_fraction_euclid(self, common, a, b):
-        p, q = common * a, common * b
-        assert poly_gcd(p, q).coeffs == fraction_gcd(p, q)
-        assert poly_gcd(p, p.derivative()).coeffs == fraction_gcd(p, p.derivative())
+        # the Sturm chain ends in gcd(p, p') up to a constant, and the
+        # square-free part is p over that gcd
+        for p in (common * a, common * b):
+            g = fraction_gcd(p, p.derivative())
+            assert sturm_chain(p)[-1].primitive().coeffs == g
+            assert square_free_part(p) * IntPolynomial(g) == p.primitive()
 
     @given(small_polys, primitive_non_monic())
     @settings(max_examples=200, deadline=None)
