@@ -11,14 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+import operator
+from functools import partial, reduce
 from typing import Callable, Optional
 
 from .errors import InvalidEndomorphismError, InvalidStructureError
-from .intervals import RationalInterval, sqrt_interval
+from .intervals import RationalInterval, _Fixed, _Undecided, sqrt_interval
 from .polynomials import (
     ALLOWED_UNITY_ORDERS,
     IntPolynomial,
+    _bisect,
+    _bracket,
+    _sign_at,
     count_real_roots,
     cyclotomic,
     poly_divmod,
@@ -92,7 +96,8 @@ class _Group:
     ``root`` indexes the isolated real root, in _Analysis.roots, whose
     bracket the group narrows, or is None for a group that needs none.
     ``msq`` maps that bracket (None without a root) and a width w to an
-    interval around |mu|^2, or to None while the bracket cannot tell yet.
+    interval around |mu|^2, or to None while the bracket cannot tell yet;
+    the maps with a root take a RationalInterval or its _Fixed bounds.
     """
 
     count: int
@@ -109,20 +114,19 @@ def _fixed(v: RationalInterval, iv: None, w: Fraction) -> RationalInterval:
     return v
 
 
-def _equal_pairs(c0: Fraction, iv: None, w: Fraction) -> RationalInterval:
+def _equal_pairs(c0: int, iv: None, w: Fraction) -> RationalInterval:
     return sqrt_interval(RationalInterval.point(c0), w)
 
 
-def _pair(c0: Fraction, larger: bool, u_iv: RationalInterval, w: Fraction):
+def _pair(c0: int, larger: bool, u_iv: RationalInterval, w: Fraction):
     """m2^2 (larger) or m1^2 = c0 / m2^2 from a bracket of u* = m1^2 + m2^2:
     m2^2 = (u* + sqrt(u*^2 - 4 c0)) / 2, or None while the discriminant's
-    bracket straddles 0."""
-    disc = u_iv * u_iv + RationalInterval.point(-4 * c0)
+    bracket straddles 0.  Otherwise disc >= 0, as u*^2 >= 4 c0."""
+    disc = u_iv * u_iv + u_iv.point(-4 * c0)
     if disc.lo < 0 <= disc.hi:
         return None
-    root = sqrt_interval(RationalInterval(max(disc.lo, Fraction(0)), disc.hi), w)
-    m2_iv = (u_iv + root).scale(Fraction(1, 2))
-    return m2_iv if larger else RationalInterval.point(c0) * m2_iv.reciprocal()
+    m2_iv = (u_iv + sqrt_interval(disc, w)).scale(Fraction(1, 2))
+    return m2_iv if larger else u_iv.point(c0) * m2_iv.reciprocal()
 
 
 def _resolvent_cubic(w: IntPolynomial) -> IntPolynomial:
@@ -150,7 +154,7 @@ def _two_pair_groups(f: IntPolynomial, mult: int, roots: list) -> list[_Group]:
     square-free f, so the resolvent is square-free and refine_root bisects
     it as it is.
     """
-    c0 = Fraction(f.coeffs[0])
+    c0 = f.coeffs[0]
     res = _resolvent_cubic(f)
     u_isolated = real_root_isolation(res)[-1]
 
@@ -200,8 +204,8 @@ def _real_root_groups(f: IntPolynomial, mult: int, roots: list) -> list[_Group]:
 class _Analysis:
     """The structure of one quartic's roots relative to the unit circle:
     the zero count, the per-root unity orders of the circle roots, the
-    off-circle groups, and each isolated root a group narrows as its
-    square-free polynomial and isolating bracket.
+    off-circle groups, each isolated root a group narrows as its square-free
+    polynomial and isolating bracket, and the bits of P's coefficients.
 
     Every consumer narrows its own copy of the brackets, fresh from
     ``roots``, so a result never depends on what another consumer refined
@@ -212,28 +216,50 @@ class _Analysis:
     orders: tuple[int, ...]
     roots: tuple[tuple[IntPolynomial, RationalInterval], ...]
     groups: tuple[_Group, ...]
+    bits: int
 
-    def _narrow(self, group: _Group, brackets: list, width: Fraction) -> RationalInterval:
-        """An interval of width at most `width` around the group's |mu|^2,
-        refining its root's bracket in `brackets` from w = width / 4 and
-        dividing w by 4 until the map's result is narrow enough."""
+    def _brackets(self) -> list[tuple[int, int, int, int]]:
+        """Each root's isolating bracket as (a, b, d, its sign at a/d)."""
+        return [(a, b, d, _sign_at(f.coeffs, a, d))
+                for f, iv in self.roots for a, b, d in [_bracket(iv.lo, iv.hi)]]
+
+    def _precision(self, bound: Fraction) -> int:
+        """_Fixed bits for width tests against bound: those of 1/bound, 3
+        times the bits of the quartic's coefficients, which bound (Landau)
+        every |mu| and c0 the maps meet, and 48 guard bits."""
+        return (bound.denominator // bound.numerator).bit_length() + 3 * self.bits + 48
+
+    def _narrow(self, group: _Group, brackets: list, width: Fraction,
+                p: int) -> tuple[_Fixed, Optional[tuple[int, int, int]], Fraction]:
+        """Narrow the group's |mu|^2 to width at most `width`, refining its
+        root's bracket in `brackets` from w = width / 4 and dividing w by 4
+        until the map's result is narrow enough.  Each try is decided on the
+        map's _Fixed bounds at 2^-p, and on the exact map where they cannot
+        tell.  Returns the passing try's bounds, bracket and w."""
         if group.root is None:
-            return group.msq(None, width)
+            iv = group.msq(None, width)
+            return _Fixed.of(*_bracket(iv.lo, iv.hi), p), None, width
         f = self.roots[group.root][0]
+        a, b, d, s = brackets[group.root]
         w = width / 4
         while True:
-            brackets[group.root] = refine_root(f, brackets[group.root], w)
-            out = group.msq(brackets[group.root], w)
-            if out is not None and out.width <= width:
-                return out
+            a, b, d = _bisect(f.coeffs, a, b, d, s, w)
+            brackets[group.root] = a, b, d, s
+            try:
+                out = group.msq(_Fixed.of(a, b, d, p), w)
+                if out is not None and out.width_at_most(width):
+                    return out, (a, b, d), w
+            except _Undecided:
+                iv = _exact(group, (a, b, d), w)
+                if iv is not None and iv.width <= width:
+                    return _Fixed.of(*_bracket(iv.lo, iv.hi), p), (a, b, d), w
             w /= 4
 
     def census(self, enclosure_width: Fraction) -> EigenvalueClassification:
-        brackets = [iv for _, iv in self.roots]
+        brackets, p = self._brackets(), self._precision(enclosure_width)
         outside_moduli = tuple(
-            iv
-            for g in self.groups if g.outside
-            for iv in [self._narrow(g, brackets, enclosure_width)] * g.count
+            iv for g in self.groups if g.outside
+            for iv in [_exact(g, *self._narrow(g, brackets, enclosure_width, p)[1:])] * g.count
         )
         return EigenvalueClassification(
             n_zero=self.n_zero,
@@ -255,20 +281,40 @@ class _Analysis:
             target /= 4
 
     def _mahler_sq(self, width: Fraction) -> RationalInterval:
-        """Enclosure of M^2 = prod over outside roots of |mu|^2."""
+        """Enclosure of M^2 = prod over outside roots of |mu|^2.  A round's
+        width test is decided on the product of the groups' bounds; only a
+        round they pass or cannot decide builds the exact product."""
         outside = [g for g in self.groups if g.outside]
         if not outside:
             return RationalInterval.point(1)
-        brackets = [iv for _, iv in self.roots]
+        brackets = self._brackets()
         target = width
         while True:
-            out = RationalInterval.point(1)
             per_group = target / (4 * len(outside))
-            for g in outside:
-                out = out * self._narrow(g, brackets, per_group).intpow(g.count)
-            if out.width <= width:
-                return out
+            p = self._precision(per_group)
+            tries = [self._narrow(g, brackets, per_group, p) for g in outside]
+            try:
+                passes = _power_product([t[0] for t in tries], outside).width_at_most(width)
+            except _Undecided:
+                passes = True
+            if passes:
+                out = _power_product([_exact(g, *t[1:]) for g, t in zip(outside, tries)], outside)
+                if out.width <= width:
+                    return out
             target /= 4
+
+
+def _exact(group: _Group, bracket: Optional[tuple[int, int, int]], w: Fraction):
+    """The group's map on the integer bracket (a, b, d), or None, and w."""
+    if bracket is not None:
+        a, b, d = bracket
+        bracket = RationalInterval(Fraction(a, d), Fraction(b, d))
+    return group.msq(bracket, w)
+
+
+def _power_product(values: list, groups: list[_Group]):
+    """prod values[i]^count_i, of positive RationalIntervals or _Fixed."""
+    return reduce(operator.mul, (v.intpow(g.count) for v, g in zip(values, groups)))
 
 
 def _analyze(P: CharPolyQuartic) -> _Analysis:
@@ -314,7 +360,8 @@ def _analyze(P: CharPolyQuartic) -> _Analysis:
             groups.append(_Group(2 * mult, c0 > 1, None, point))
         else:
             groups += _two_pair_groups(f, mult, roots)
-    return _Analysis(n_zero, tuple(sorted(orders)), tuple(roots), tuple(groups))
+    return _Analysis(n_zero, tuple(sorted(orders)), tuple(roots), tuple(groups),
+                     max(abs(c) for c in p.coeffs).bit_length())
 
 
 def count_roots_by_modulus(

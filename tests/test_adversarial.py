@@ -7,6 +7,7 @@ search-small would need 10^12 steps at eps = 10^-6; a divisor-pair search
 for quadratic factors takes about 3 s on the 50-bit CM field.
 """
 
+import random
 import time
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from torusfix.algebras import CMFieldDesc
 from torusfix.behavior import B1, classify
 from torusfix.cli import main
-from torusfix.endomorphisms import fix_sequence
+from torusfix.endomorphisms import AnalyticRep, fix_sequence
 from torusfix.errors import InvalidStructureError
 from torusfix.polynomials import (
     KERNEL_TRIAL_DIVISOR_LIMIT,
@@ -46,6 +47,18 @@ def test_classify_wide_coefficients_in_time(name):
     report, seconds = _timed(lambda: classify(P))
     assert report.verdict == B1
     assert seconds < 2.0, f"{name}: {seconds:.2f} s"
+
+
+def test_classify_256_bit_entries_in_time():
+    # an analytic matrix over Z[i] with 256-bit entries: a char poly of about
+    # 1024-bit coefficients, whose growth base takes several hundred rounds;
+    # about 0.7-1.0 s, and 1.5-2.4 s before the width tests were filtered
+    rng = random.Random("classify-256")
+    entries = [[(rng.getrandbits(256) - (1 << 255), rng.getrandbits(256) - (1 << 255))
+                for _ in range(2)] for _ in range(2)]
+    report, seconds = _timed(lambda: classify(AnalyticRep(-1, entries)))
+    assert report.verdict == B1
+    assert seconds < 3.0, f"{seconds:.2f} s"
 
 
 def test_long_sequence_in_time():

@@ -78,6 +78,19 @@ def test_library_has_no_unreferenced_names():
     assert not offenders, offenders
 
 
+def test_library_has_no_float():
+    # every result is exact: no float literal, no float(), and none of the
+    # math functions that return a float
+    math_floats = {"sqrt", "log", "log2", "log10", "log1p", "exp", "pow", "fsum", "hypot",
+                   "isclose", "fabs"}
+    offenders = _library_uses("math", math_floats) + [
+        f"{name}:{node.lineno}" for name, node in _library_nodes()
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Name) and node.id == "float")
+    ]
+    assert not offenders, offenders
+
+
 def test_polynomial_core_is_integer():
     # division, gcds, Sturm chains, square-free parts, Sturm signs and root
     # bisection are integer computations: no Fraction and no true division
