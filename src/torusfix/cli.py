@@ -36,8 +36,8 @@ from .algebras import (
 from .endomorphisms import (
     AnalyticRep,
     RationalRep,
+    _fix_iterates,
     char_poly_rational,
-    fix_sequence,
 )
 from .errors import TorusFixError
 from .polynomials import IntPolynomial, parse_poly, serialize_poly
@@ -247,11 +247,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    seq = fix_sequence(_input_from_args(args), args.n_max)
-    if args.json:
-        print(json.dumps({"fix": seq}))
-    else:
-        print(seq)
+    # the bytes of print(list) and json.dumps; each value is converted as it
+    # comes, so one past the int-to-str limit stops the generation there
+    body = ", ".join(map(str, _fix_iterates(_input_from_args(args), args.n_max)))
+    print(f'{{"fix": [{body}]}}' if args.json else f"[{body}]")
     return 0
 
 

@@ -246,12 +246,17 @@ def fix_values(p: IntPolynomial) -> Iterator[int]:
 
 
 def fix_sequence(e: EndomorphismInput, n_max: int) -> list[int]:
+    return list(_fix_iterates(e, n_max))
+
+
+def _fix_iterates(e: EndomorphismInput, n_max: int) -> Iterator[int]:
+    """fix(f^n) for n = 1..n_max, generated one by one after the checks."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > MAX_ITERATE:
         raise ValueError(f"n_max exceeds the iterate cap {MAX_ITERATE}")
     p = char_poly_rational(e).poly
-    return list(islice(fix_values(p), n_max))
+    return islice(fix_values(p), n_max)
 
 
 def _quartic_coeffs(p: IntPolynomial) -> tuple[int, ...]:

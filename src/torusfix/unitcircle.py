@@ -16,7 +16,7 @@ from functools import partial, reduce
 from typing import Callable, Optional
 
 from .errors import InvalidEndomorphismError, InvalidStructureError
-from .intervals import RationalInterval, _Fixed, _Undecided, sqrt_interval
+from .intervals import RationalInterval, _Exact, sqrt_interval
 from .polynomials import (
     ALLOWED_UNITY_ORDERS,
     IntPolynomial,
@@ -97,28 +97,28 @@ class _Group:
     bracket the group narrows, or is None for a group that needs none.
     ``msq`` maps that bracket (None without a root) and a width w to an
     interval around |mu|^2, or to None while the bracket cannot tell yet;
-    the maps with a root take a RationalInterval or its _Fixed bounds.
+    the maps with a root give an _Exact or a RationalInterval, as they take.
     """
 
     count: int
     outside: bool
     root: Optional[int]
-    msq: Callable[[Optional[RationalInterval], Fraction], Optional[RationalInterval]]
+    msq: Callable[[Optional[_Exact], Fraction], Optional[_Exact]]
 
 
-def _square(iv: RationalInterval, w: Fraction) -> RationalInterval:
+def _square(iv: _Exact, w: Fraction) -> _Exact:
     return iv * iv
 
 
-def _fixed(v: RationalInterval, iv: None, w: Fraction) -> RationalInterval:
+def _fixed(v: _Exact, iv: None, w: Fraction) -> _Exact:
     return v
 
 
-def _equal_pairs(c0: int, iv: None, w: Fraction) -> RationalInterval:
-    return sqrt_interval(RationalInterval.point(c0), w)
+def _equal_pairs(c0: int, iv: None, w: Fraction) -> _Exact:
+    return sqrt_interval(_Exact.point(c0), w)
 
 
-def _pair(c0: int, larger: bool, u_iv: RationalInterval, w: Fraction):
+def _pair(c0: int, larger: bool, u_iv: _Exact, w: Fraction):
     """m2^2 (larger) or m1^2 = c0 / m2^2 from a bracket of u* = m1^2 + m2^2:
     m2^2 = (u* + sqrt(u*^2 - 4 c0)) / 2, or None while the discriminant's
     bracket straddles 0.  Otherwise disc >= 0, as u*^2 >= 4 c0."""
@@ -204,8 +204,8 @@ def _real_root_groups(f: IntPolynomial, mult: int, roots: list) -> list[_Group]:
 class _Analysis:
     """The structure of one quartic's roots relative to the unit circle:
     the zero count, the per-root unity orders of the circle roots, the
-    off-circle groups, each isolated root a group narrows as its square-free
-    polynomial and isolating bracket, and the bits of P's coefficients.
+    off-circle groups, and each isolated root a group narrows as its
+    square-free polynomial and isolating bracket.
 
     Every consumer narrows its own copy of the brackets, fresh from
     ``roots``, so a result never depends on what another consumer refined
@@ -216,50 +216,36 @@ class _Analysis:
     orders: tuple[int, ...]
     roots: tuple[tuple[IntPolynomial, RationalInterval], ...]
     groups: tuple[_Group, ...]
-    bits: int
 
     def _brackets(self) -> list[tuple[int, int, int, int]]:
         """Each root's isolating bracket as (a, b, d, its sign at a/d)."""
         return [(a, b, d, _sign_at(f.coeffs, a, d))
                 for f, iv in self.roots for a, b, d in [_bracket(iv.lo, iv.hi)]]
 
-    def _precision(self, bound: Fraction) -> int:
-        """_Fixed bits for width tests against bound: those of 1/bound, 3
-        times the bits of the quartic's coefficients, which bound (Landau)
-        every |mu| and c0 the maps meet, and 48 guard bits."""
-        return (bound.denominator // bound.numerator).bit_length() + 3 * self.bits + 48
-
-    def _narrow(self, group: _Group, brackets: list, width: Fraction,
-                p: int) -> tuple[_Fixed, Optional[tuple[int, int, int]], Fraction]:
-        """Narrow the group's |mu|^2 to width at most `width`, refining its
-        root's bracket in `brackets` from w = width / 4 and dividing w by 4
-        until the map's result is narrow enough.  Each try is decided on the
-        map's _Fixed bounds at 2^-p, and on the exact map where they cannot
-        tell.  Returns the passing try's bounds, bracket and w."""
+    def _narrow(self, group: _Group, brackets: list, width: Fraction) -> _Exact:
+        """An interval of width at most `width` around the group's |mu|^2,
+        refining its root's bracket in `brackets` from w = width / 4 and
+        dividing w by 4 until the map's result is narrow enough.  Each try
+        maps the bracket (a, b, d) as it is, unreduced, and tests its width
+        exactly."""
         if group.root is None:
-            iv = group.msq(None, width)
-            return _Fixed.of(*_bracket(iv.lo, iv.hi), p), None, width
+            return group.msq(None, width)
         f = self.roots[group.root][0]
         a, b, d, s = brackets[group.root]
         w = width / 4
         while True:
             a, b, d = _bisect(f.coeffs, a, b, d, s, w)
             brackets[group.root] = a, b, d, s
-            try:
-                out = group.msq(_Fixed.of(a, b, d, p), w)
-                if out is not None and out.width_at_most(width):
-                    return out, (a, b, d), w
-            except _Undecided:
-                iv = _exact(group, (a, b, d), w)
-                if iv is not None and iv.width <= width:
-                    return _Fixed.of(*_bracket(iv.lo, iv.hi), p), (a, b, d), w
+            out = group.msq(_Exact(a, b, d), w)
+            if out is not None and out.width_at_most(width):
+                return out
             w /= 4
 
     def census(self, enclosure_width: Fraction) -> EigenvalueClassification:
-        brackets, p = self._brackets(), self._precision(enclosure_width)
+        brackets = self._brackets()
         outside_moduli = tuple(
             iv for g in self.groups if g.outside
-            for iv in [_exact(g, *self._narrow(g, brackets, enclosure_width, p)[1:])] * g.count
+            for iv in [self._narrow(g, brackets, enclosure_width).interval()] * g.count
         )
         return EigenvalueClassification(
             n_zero=self.n_zero,
@@ -276,45 +262,24 @@ class _Analysis:
         target = width
         while True:
             out = sqrt_interval(self._mahler_sq(target), target)
-            if out.width <= width:
-                return out
+            if out.width_at_most(width):
+                return out.interval()
             target /= 4
 
-    def _mahler_sq(self, width: Fraction) -> RationalInterval:
-        """Enclosure of M^2 = prod over outside roots of |mu|^2.  A round's
-        width test is decided on the product of the groups' bounds; only a
-        round they pass or cannot decide builds the exact product."""
+    def _mahler_sq(self, width: Fraction) -> _Exact:
+        """Enclosure of M^2 = prod over outside roots of |mu|^2."""
         outside = [g for g in self.groups if g.outside]
         if not outside:
-            return RationalInterval.point(1)
+            return _Exact.point(1)
         brackets = self._brackets()
         target = width
         while True:
             per_group = target / (4 * len(outside))
-            p = self._precision(per_group)
-            tries = [self._narrow(g, brackets, per_group, p) for g in outside]
-            try:
-                passes = _power_product([t[0] for t in tries], outside).width_at_most(width)
-            except _Undecided:
-                passes = True
-            if passes:
-                out = _power_product([_exact(g, *t[1:]) for g, t in zip(outside, tries)], outside)
-                if out.width <= width:
-                    return out
+            out = reduce(operator.mul, (self._narrow(g, brackets, per_group).intpow(g.count)
+                                        for g in outside))
+            if out.width_at_most(width):
+                return out
             target /= 4
-
-
-def _exact(group: _Group, bracket: Optional[tuple[int, int, int]], w: Fraction):
-    """The group's map on the integer bracket (a, b, d), or None, and w."""
-    if bracket is not None:
-        a, b, d = bracket
-        bracket = RationalInterval(Fraction(a, d), Fraction(b, d))
-    return group.msq(bracket, w)
-
-
-def _power_product(values: list, groups: list[_Group]):
-    """prod values[i]^count_i, of positive RationalIntervals or _Fixed."""
-    return reduce(operator.mul, (v.intpow(g.count) for v, g in zip(values, groups)))
 
 
 def _analyze(P: CharPolyQuartic) -> _Analysis:
@@ -356,12 +321,11 @@ def _analyze(P: CharPolyQuartic) -> _Analysis:
             groups += real
         elif f.degree == 2:
             c0 = Fraction(f.coeffs[0], f.coeffs[2])
-            point = partial(_fixed, RationalInterval.point(c0))
+            point = partial(_fixed, _Exact.point(c0))
             groups.append(_Group(2 * mult, c0 > 1, None, point))
         else:
             groups += _two_pair_groups(f, mult, roots)
-    return _Analysis(n_zero, tuple(sorted(orders)), tuple(roots), tuple(groups),
-                     max(abs(c) for c in p.coeffs).bit_length())
+    return _Analysis(n_zero, tuple(sorted(orders)), tuple(roots), tuple(groups))
 
 
 def count_roots_by_modulus(

@@ -52,7 +52,8 @@ def test_classify_wide_coefficients_in_time(name):
 def test_classify_256_bit_entries_in_time():
     # an analytic matrix over Z[i] with 256-bit entries: a char poly of about
     # 1024-bit coefficients, whose growth base takes several hundred rounds;
-    # about 0.7-1.0 s, and 1.5-2.4 s before the width tests were filtered
+    # 0.5-0.75 s with the width tests on unreduced integers, 0.55-0.85 s
+    # with the fixed-point filter before them (shared 2-vCPU host)
     rng = random.Random("classify-256")
     entries = [[(rng.getrandbits(256) - (1 << 255), rng.getrandbits(256) - (1 << 255))
                 for _ in range(2)] for _ in range(2)]

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from torusfix import endomorphisms
 from torusfix.cli import main, parse_input, serialize
 from torusfix.endomorphisms import char_poly_rational
 from torusfix.algebras import builtin_examples
@@ -69,6 +71,34 @@ class TestSequenceCommand:
             capsys, "--json", "sequence", "--charpoly", "1,-2,3,-2,1", "-n", "6"
         )
         assert json.loads(out)["fix"] == [1, 9, 16, 9, 1, 0]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_value_past_the_str_limit_stops_the_sequence(self, capsys, monkeypatch, json_flag):
+        # the first value over the 4300-digit int-to-str limit exits 1 with
+        # str's own message and nothing on stdout, and no later value is
+        # generated
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-str limit")
+        values = []
+
+        def counting(p, _values=endomorphisms.fix_values):
+            for v in _values(p):
+                values.append(v)
+                yield v
+
+        monkeypatch.setattr(endomorphisms, "fix_values", counting)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, *json_flag, "sequence", "--charpoly", "1439,22,0,10,1",
+                                 "-n", "2000")
+            with pytest.raises(ValueError) as refused:
+                str(values[-1])
+            assert all(len(str(v)) <= 4300 for v in values[:-1])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (1, "", f"error: {refused.value}\n")
+        assert len(values) < 2000
 
     def test_cap_without_force(self, capsys):
         code, _, err = run(

@@ -11,14 +11,21 @@ interpreter whose PYTHONPATH is that side's ``src``; the corpora are drawn
 from fixed seeds with the standard library alone, so both sides see the same
 inputs.  Compared, per input: ``classify(...).to_dict()`` JSON (or the
 algebra classifier's), and for every quartic ``count_roots_by_modulus`` and
-``mahler_measure_interval`` at widths 1/3 and 2^-40; an exception counts as
-its class name.  Prints the result count and the first difference; exits 1
-on any difference.
+``mahler_measure_interval`` at widths 1/3 and 2^-40, and ``refine_root`` on
+each real root of each square-free factor at widths 1/3, 2^-40 and 2^-160;
+an exception counts as its class name.  Then the CLI's exit code, stdout and
+stderr on a fixed sample: every 25th input through ``classify`` and
+``sequence`` (``algebra ... classify`` and ``fix`` for the algebra kinds),
+as text and as ``--json``, and ``sequence`` past the 4300-digit int-to-str
+limit.  Prints the result count and the first difference; exits 1 on any
+difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -31,6 +38,9 @@ from fractions import Fraction
 HERE = os.path.abspath(__file__)
 ROOT = os.path.dirname(os.path.dirname(HERE))
 WIDTHS = (Fraction(1, 3), Fraction(1, 2 ** 40))
+REFINE_WIDTHS = (Fraction(1, 3), Fraction(1, 2 ** 40), Fraction(1, 2 ** 160))
+CLI_EVERY = 25
+STR_DIGITS = 4300  # CPython's default int-to-str limit, pinned on both sides
 
 NEG_FIELDS = (-1, -2, -3, -5, -6, -7, -10, -11)
 RM_D = (2, 3, 5, 6, 7, 10, 11, 13)
@@ -120,11 +130,56 @@ def corpus(wide: bool):
                                                          for _ in range(2)])
 
 
+def cli_sample():
+    """(label, argv): every CLI_EVERY-th input of the default corpus as
+    text and as --json, and the sequence whose value 1361 is past the
+    int-to-str limit."""
+    for i, (label, kind, data) in enumerate(corpus(False)):
+        if i % CLI_EVERY:
+            continue
+        if kind in ("rm", "quat", "cm"):
+            if kind == "rm":
+                d, a, b = data
+                doc = {"kind": "real_quad", "d": d, "a": a, "b": b}
+            elif kind == "quat":
+                (alpha, beta), c = data
+                doc = {"kind": "quaternion", "alpha": str(alpha), "beta": str(beta),
+                       "coeffs": [str(x) for x in c]}
+            else:
+                g, c = data
+                doc = {"kind": "cm", "g": ",".join(map(str, g)), "coords": [str(x) for x in c]}
+            element = ["--element", json.dumps(doc)]
+            commands = {"classify": ["algebra", kind, "classify"] + element,
+                        "fix": ["algebra", kind, "fix"] + element + ["-n", "25"]}
+        else:
+            # one token per option: a value may start with "-"
+            if kind == "quartic":
+                arg = ["--charpoly=" + ",".join(map(str, data))]
+            elif kind == "matrix":
+                arg = ["--matrix=" + ";".join(",".join(map(str, row)) for row in data)]
+            else:
+                m, rows = data
+                arg = ["--analytic=" + ";".join(f"{u},{v}" for row in rows for u, v in row),
+                       f"--field={m}"]
+            commands = {"classify": ["classify"] + arg, "sequence": ["sequence"] + arg + ["-n", "30"]}
+        for flags in ([], ["--json"]):
+            for name, argv in commands.items():
+                yield f"{label}:cli:{' '.join(flags + [name])}", flags + argv
+    for flags in ([], ["--json"]):
+        yield f"4300-digits:cli:{' '.join(flags + ['sequence'])}", flags + [
+            "sequence", "--charpoly", "1439,22,0,10,1", "-n", "2000"]
+
+
 # -- one side: evaluate the corpus with the torusfix on sys.path ---------------
 
 
 def emit(wide: bool) -> None:
     import torusfix as tf
+    from torusfix.cli import main as cli_main
+    from torusfix.polynomials import real_root_isolation, refine_root, squarefree_decomposition
+
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(STR_DIGITS)
 
     def run(fn):
         try:
@@ -139,6 +194,16 @@ def emit(wide: bool) -> None:
         return {"n_zero": c.n_zero, "n_less": c.n_less, "n_on": c.n_on, "n_more": c.n_more,
                 "unity_orders": list(c.unity_orders),
                 "outside_moduli": [interval(iv) for iv in c.outside_moduli]}
+
+    def refinements(p):
+        return [[str(f), [interval(refine_root(f, iv, w)) for w in REFINE_WIDTHS]]
+                for f, _ in squarefree_decomposition(p) for iv in real_root_isolation(f)]
+
+    def cli(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        return [code, out.getvalue(), err.getvalue()]
 
     cm_fields = {}
     for label, kind, data in corpus(wide):
@@ -169,8 +234,11 @@ def emit(wide: bool) -> None:
             for w in WIDTHS:
                 results[f"census@{w}"] = run(lambda: census(tf.count_roots_by_modulus(quartic, w)))
                 results[f"mahler@{w}"] = run(lambda: interval(tf.mahler_measure_interval(quartic, w)))
+            results["refine"] = run(lambda: refinements(quartic.poly))
         for what, value in results.items():
             print(json.dumps([f"{label}:{what}", value], sort_keys=True))
+    for label, argv in cli_sample():
+        print(json.dumps([label, run(lambda: cli(argv))], sort_keys=True))
 
 
 # -- comparing two trees ---------------------------------------------------------
